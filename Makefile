@@ -115,8 +115,9 @@ mypy:
 		echo "mypy not installed -- skipping type check"; \
 	fi
 
-## the full CI gate: static analysis, types, instrumentation smoke test,
+## the full CI gate: static analysis (once, via lint-sarif, which runs
+## the same strict baseline check as lint), types, instrumentation smoke test,
 ## report rendering, docs freshness, tier-1 tests, hot-path perf smoke,
 ## perf watchdog, result-cache lifecycle, solve-service lifecycle,
 ## differential fuzz
-ci: lint lint-sarif mypy obs-check report-smoke api-docs-check test bench-smoke bench-watch cache-smoke serve-smoke slo-smoke fuzz-smoke
+ci: lint-sarif mypy obs-check report-smoke api-docs-check test bench-smoke bench-watch cache-smoke serve-smoke slo-smoke fuzz-smoke

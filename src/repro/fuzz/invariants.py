@@ -17,6 +17,9 @@ check                         theorem     cross-checked paths
 ``weighted-serialize-roundtrip``  —       weighted dump → load → dump byte
                                           fixpoint; weights separate sha256
                                           fingerprints
+``weighted-value-agreement``  —           weighted double oracle vs weighted
+                                          LP, best-response certificate;
+                                          unit weights vs ``1 − v*``
 ``graph-io-roundtrip``        —           graph JSON + edge-list codecs
 ``kernel-reference``          —           coverage kernel vs brute-force argmax
 ``simulation-agreement``      D2.1        vectorized Monte Carlo vs exact profit
@@ -60,7 +63,11 @@ from repro.solvers.double_oracle import double_oracle
 from repro.solvers.fictitious_play import fictitious_play
 from repro.solvers.lp import solve_minimax
 from repro.solvers.ranges import attacker_vertex_ranges
-from repro.weighted.game import WeightedTupleGame
+from repro.weighted.game import (
+    WeightedTupleGame,
+    weighted_double_oracle,
+    weighted_minimax,
+)
 
 __all__ = ["Violation", "INVARIANTS", "check_game", "DEFAULT_TOLERANCE"]
 
@@ -232,6 +239,13 @@ def _game_sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _weighted_lift(game: TupleGame) -> WeightedTupleGame:
+    """The fuzzed game with weights derived from the sorted vertex order."""
+    vertices = game.graph.sorted_vertices()
+    weights = {v: 1.0 + (i % 5) * 0.25 for i, v in enumerate(vertices)}
+    return WeightedTupleGame(game.graph, game.k, weights, nu=game.nu)
+
+
 def check_weighted_serialize_roundtrip(
     game: TupleGame, tol: float
 ) -> List[Violation]:
@@ -249,9 +263,7 @@ def check_weighted_serialize_roundtrip(
     * the plain game's document to stay free of weight keys (the
       pre-weighted byte format is a compatibility contract).
     """
-    vertices = game.graph.sorted_vertices()
-    weights = {v: 1.0 + (i % 5) * 0.25 for i, v in enumerate(vertices)}
-    weighted = WeightedTupleGame(game.graph, game.k, weights, nu=game.nu)
+    weighted = _weighted_lift(game)
     text = game_to_json(weighted)
     restored = game_from_json(text)
     out: List[Violation] = []
@@ -272,8 +284,9 @@ def check_weighted_serialize_roundtrip(
             "weighted-serialize-roundtrip",
             "weighted serialization is not canonical (re-dump differs)",
         ))
-    bumped = dict(weights)
-    bumped[vertices[0]] = weights[vertices[0]] + 0.5
+    first = game.graph.sorted_vertices()[0]
+    bumped = dict(weighted.weights)
+    bumped[first] = weighted.weights[first] + 0.5
     other = WeightedTupleGame(game.graph, game.k, bumped, nu=game.nu)
     if _game_sha256(text) == _game_sha256(game_to_json(other)):
         out.append(Violation(
@@ -287,6 +300,46 @@ def check_weighted_serialize_roundtrip(
             "weighted-serialize-roundtrip",
             "plain game document carries weighted keys — the pre-weighted "
             "byte format must stay stable",
+        ))
+    return out
+
+
+def check_weighted_value_agreement(
+    game: TupleGame, tol: float
+) -> List[Violation]:
+    """The weighted solvers agree: double oracle = full LP on the escape
+    value, its profile passes the first-principles best-response check,
+    and unit weights reduce the escape value to ``1 − v*`` of the plain
+    duel.  Uses the weighted lift of ``weighted-serialize-roundtrip``.
+    """
+    weighted = _weighted_lift(game)
+    out: List[Violation] = []
+    lp_escape = weighted_minimax(weighted).value
+    config, do_escape = weighted_double_oracle(weighted)
+    if not _close(do_escape, lp_escape, tol):
+        out.append(Violation(
+            "weighted-value-agreement",
+            f"weighted_double_oracle={do_escape!r} vs "
+            f"weighted_minimax={lp_escape!r}",
+        ))
+    certified, gaps = weighted.verify_best_responses(config, tol=tol)
+    if not certified:
+        out.append(Violation(
+            "weighted-value-agreement",
+            f"weighted double-oracle profile fails the best-response "
+            f"check (regrets {gaps!r})",
+        ))
+    unit = WeightedTupleGame(
+        game.graph, game.k, dict.fromkeys(game.graph.vertices(), 1.0),
+        nu=game.nu,
+    )
+    _, unit_escape = weighted_double_oracle(unit)
+    plain_value = solve_minimax(game).value
+    if not _close(unit_escape, 1.0 - plain_value, tol):
+        out.append(Violation(
+            "weighted-value-agreement",
+            f"unit-weight escape value {unit_escape!r} vs "
+            f"1 - LP value {1.0 - plain_value!r}",
         ))
     return out
 
@@ -412,6 +465,7 @@ INVARIANTS: Dict[str, Check] = {
     "solve-cascade": check_solve_cascade,
     "serialize-roundtrip": check_serialize_roundtrip,
     "weighted-serialize-roundtrip": check_weighted_serialize_roundtrip,
+    "weighted-value-agreement": check_weighted_value_agreement,
     "graph-io-roundtrip": check_graph_io_roundtrip,
     "kernel-reference": check_kernel_reference,
     "simulation-agreement": check_simulation_agreement,

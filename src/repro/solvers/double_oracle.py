@@ -35,12 +35,18 @@ from typing import Dict, List, Optional, Set
 import repro.cache as result_cache
 from repro.core.game import GameError, TupleGame
 from repro.core.tuples import EdgeTuple, tuple_vertices
-from repro.graphs.core import Vertex, tuple_sort_key, vertex_sort_key
+from repro.graphs.core import Vertex
 from repro.kernels.coverage import CoverageOracle, shared_oracle
 from repro.obs import events as obs_events
 from repro.obs import get_logger, metrics, tracing
 from repro.obs import ledger as obs_ledger
-from repro.solvers.lp import LPSolution, minimax_over_strategies
+from repro.solvers.lp import (
+    LPSolution,
+    _scaled_coverage,
+    _solution_from_payload,
+    _solution_payload,
+    minimax_over_strategies,
+)
 
 __all__ = [
     "DoubleOracleResult",
@@ -133,21 +139,7 @@ def double_oracle_result_to_json(result: DoubleOracleResult) -> str:
     with metrics.timer("cache.encode.seconds"):
         payload = {
             "format": _RESULT_FORMAT,
-            "value": result.solution.value,
-            "defender": [
-                [[list(e) for e in t], p]
-                for t, p in sorted(
-                    result.solution.defender.items(),
-                    key=lambda item: tuple_sort_key(item[0]),
-                )
-            ],
-            "attacker": [
-                [v, p]
-                for v, p in sorted(
-                    result.solution.attacker.items(),
-                    key=lambda item: vertex_sort_key(item[0]),
-                )
-            ],
+            **_solution_payload(result.solution),
             "iterations": result.iterations,
             "defender_pool_size": result.defender_pool_size,
             "attacker_pool_size": result.attacker_pool_size,
@@ -176,16 +168,8 @@ def double_oracle_result_from_json(text: str) -> DoubleOracleResult:
                 f"(expected {_RESULT_FORMAT!r})"
             )
         try:
-            defender = {
-                tuple(tuple(e) for e in t): float(p)
-                for t, p in payload["defender"]
-            }
-            attacker = {v: float(p) for v, p in payload["attacker"]}
-            solution = LPSolution(
-                float(payload["value"]), defender, attacker
-            )
             return DoubleOracleResult(
-                solution,
+                _solution_from_payload(payload),
                 int(payload["iterations"]),
                 int(payload["defender_pool_size"]),
                 int(payload["attacker_pool_size"]),
@@ -272,106 +256,137 @@ def double_oracle(
             cached = probe.replay(double_oracle_result_from_json)
             if cached is not None:
                 return cached
-        oracle = shared_oracle(graph, game.k)
-        vertices = oracle.vertices
-        defender_pool: List[EdgeTuple] = _initial_defender_pool(oracle)
-        defender_seen: Set[EdgeTuple] = set(defender_pool)
-        attacker_pool: List[Vertex] = (
-            [vertices[0]] if lazy_attacker else list(vertices)
+        vertices = graph.vertices()
+        result = _double_oracle_loop(
+            game, dict.fromkeys(vertices, 1.0), dict.fromkeys(vertices, 0.0),
+            tolerance, max_iterations, method, lazy_attacker,
         )
-        attacker_seen: Set[Vertex] = set(attacker_pool)
+        probe.store(double_oracle_result_to_json(result))
+        return result
 
-        solution = None
-        gap = float("inf")
-        gap_history: List[float] = []
-        oracle_timer = metrics.histogram("double_oracle.oracle.seconds")
-        for iteration in range(1, max_iterations + 1):
-            solution = minimax_over_strategies(
-                attacker_pool, defender_pool, tuple_vertices,
-                dual_attacker=not lazy_attacker,
+
+def _double_oracle_loop(
+    game: TupleGame,
+    scale: Dict[Vertex, float],
+    offset: Dict[Vertex, float],
+    tolerance: float,
+    max_iterations: int,
+    method: str,
+    lazy_attacker: bool,
+) -> DoubleOracleResult:
+    """The double-oracle iterations for the duel whose defender payoff
+    against vertex ``v`` is ``scale[v]·hit(v) − offset[v]``.
+
+    Scale 1 and offset 0 are the Tuple model's coverage duel;
+    ``scale = offset = w`` is the weighted model's negated escape game
+    (:mod:`repro.weighted`).  The defender oracle maximizes coverage of
+    the attacker masses ``q·scale``, the attacker oracle minimizes the
+    payoff over vertices, and ``value`` is in the same payoff units.
+    """
+    oracle = shared_oracle(game.graph, game.k)
+    vertices = oracle.vertices
+    payoff_of = _scaled_coverage(scale, offset)
+    defender_pool: List[EdgeTuple] = _initial_defender_pool(oracle)
+    defender_seen: Set[EdgeTuple] = set(defender_pool)
+    attacker_pool: List[Vertex] = (
+        [vertices[0]] if lazy_attacker else list(vertices)
+    )
+    attacker_seen: Set[Vertex] = set(attacker_pool)
+
+    gap = float("inf")
+    gap_history: List[float] = []
+    oracle_timer = metrics.histogram("double_oracle.oracle.seconds")
+    for iteration in range(1, max_iterations + 1):
+        solution = minimax_over_strategies(
+            attacker_pool, defender_pool, payoff_of,
+            dual_attacker=not lazy_attacker,
+        )
+
+        # Defender oracle: best tuple against the attacker's mixture over
+        # the *full* vertex set (off-pool vertices have mass 0).
+        masses: Dict[Vertex, float] = {
+            v: p * scale[v] for v, p in solution.attacker.items()
+        }
+        stake = sum(p * offset[v] for v, p in solution.attacker.items())
+        with tracing.span("double_oracle.oracle.best_response"):
+            oracle_start = perf_counter()
+            best_def, best_cover = oracle.best(masses, method=method)
+            oracle_timer.observe(perf_counter() - oracle_start)
+        def_payoff = best_cover - stake
+
+        # Attacker oracle: the vertex of least payoff against the
+        # defender's mixture.
+        hit: Dict[Vertex, float] = {v: 0.0 for v in vertices}
+        for t, p in solution.defender.items():
+            for v in tuple_vertices(t):
+                hit[v] += p
+        payoff = {v: scale[v] * hit[v] - offset[v] for v in vertices}
+        best_att = min(vertices, key=lambda v: (payoff[v], repr(v)))
+        att_payoff = payoff[best_att]
+
+        gap = def_payoff - att_payoff
+        gap_history.append(gap)
+        obs_events.publish(
+            "solver.iteration", solver="double_oracle",
+            iteration=iteration, value=solution.value, gap=gap,
+            defender_pool=len(defender_pool),
+            attacker_pool=len(attacker_pool),
+        )
+        _log.debug(
+            "double_oracle.iteration", i=iteration, value=solution.value,
+            gap=gap, defender_pool=len(defender_pool),
+            attacker_pool=len(attacker_pool),
+        )
+        improved = False
+        if def_payoff > solution.value + tolerance and best_def not in defender_seen:
+            defender_pool.append(best_def)
+            defender_seen.add(best_def)
+            improved = True
+        if att_payoff < solution.value - tolerance and best_att not in attacker_seen:
+            attacker_pool.append(best_att)
+            attacker_seen.add(best_att)
+            improved = True
+        if not improved:
+            if method == "greedy":
+                # A greedy defender oracle's payoff is NOT an upper
+                # bound on the value, so the loop's gap is not a
+                # certificate — re-certify with one exact query.
+                _, exact_cover = oracle.best(masses, method="auto")
+                gap = exact_cover - stake - att_payoff
+                gap_history[-1] = gap
+            # At convergence each oracle is within one `tolerance` of
+            # the restricted value, so a certified gap beyond twice
+            # that means the oracle stalled short of the optimum.
+            exact = gap <= 2.0 * tolerance
+            metrics.counter("double_oracle.runs.count").inc()
+            metrics.counter("double_oracle.iterations.count").inc(iteration)
+            metrics.gauge("double_oracle.pool.defender").set(len(defender_pool))
+            metrics.gauge("double_oracle.pool.attacker").set(len(attacker_pool))
+            metrics.gauge("double_oracle.gap").set(gap)
+            if not exact:
+                metrics.counter(
+                    "double_oracle.inexact_convergence.count"
+                ).inc()
+                _log.warning(
+                    "double_oracle.inexact_convergence",
+                    method=method, value=solution.value, gap=gap,
+                    tolerance=tolerance,
+                )
+            _log.info(
+                "double_oracle.converged", iterations=iteration,
+                value=solution.value, gap=gap, exact=exact,
             )
-
-            # Defender oracle: best tuple against the attacker's mixture over
-            # the *full* vertex set (off-pool vertices have mass 0).
-            attacker_mix: Dict[Vertex, float] = dict(solution.attacker)
-            with tracing.span("double_oracle.oracle.best_response"):
-                oracle_start = perf_counter()
-                best_def, def_payoff = oracle.best(attacker_mix, method=method)
-                oracle_timer.observe(perf_counter() - oracle_start)
-
-            # Attacker oracle: min-hit vertex against the defender's mixture.
-            hit: Dict[Vertex, float] = {v: 0.0 for v in vertices}
-            for t, p in solution.defender.items():
-                for v in tuple_vertices(t):
-                    hit[v] += p
-            best_att = min(vertices, key=lambda v: (hit[v], repr(v)))
-            att_payoff = hit[best_att]
-
-            gap = def_payoff - att_payoff
-            gap_history.append(gap)
             obs_events.publish(
                 "solver.iteration", solver="double_oracle",
                 iteration=iteration, value=solution.value, gap=gap,
                 defender_pool=len(defender_pool),
                 attacker_pool=len(attacker_pool),
+                converged=True, certified=exact,
             )
-            _log.debug(
-                "double_oracle.iteration", i=iteration, value=solution.value,
-                gap=gap, defender_pool=len(defender_pool),
-                attacker_pool=len(attacker_pool),
+            return DoubleOracleResult(
+                solution, iteration, len(defender_pool),
+                len(attacker_pool), gap, gap_history, exact,
             )
-            improved = False
-            if def_payoff > solution.value + tolerance and best_def not in defender_seen:
-                defender_pool.append(best_def)
-                defender_seen.add(best_def)
-                improved = True
-            if att_payoff < solution.value - tolerance and best_att not in attacker_seen:
-                attacker_pool.append(best_att)
-                attacker_seen.add(best_att)
-                improved = True
-            if not improved:
-                if method == "greedy":
-                    # A greedy defender oracle's payoff is NOT an upper
-                    # bound on the value, so the loop's gap is not a
-                    # certificate — re-certify with one exact query.
-                    _, exact_payoff = oracle.best(attacker_mix, method="auto")
-                    gap = exact_payoff - att_payoff
-                    gap_history[-1] = gap
-                # At convergence each oracle is within one `tolerance` of
-                # the restricted value, so a certified gap beyond twice
-                # that means the oracle stalled short of the optimum.
-                exact = gap <= 2.0 * tolerance
-                metrics.counter("double_oracle.runs.count").inc()
-                metrics.counter("double_oracle.iterations.count").inc(iteration)
-                metrics.gauge("double_oracle.pool.defender").set(len(defender_pool))
-                metrics.gauge("double_oracle.pool.attacker").set(len(attacker_pool))
-                metrics.gauge("double_oracle.gap").set(gap)
-                if not exact:
-                    metrics.counter(
-                        "double_oracle.inexact_convergence.count"
-                    ).inc()
-                    _log.warning(
-                        "double_oracle.inexact_convergence",
-                        method=method, value=solution.value, gap=gap,
-                        tolerance=tolerance,
-                    )
-                _log.info(
-                    "double_oracle.converged", iterations=iteration,
-                    value=solution.value, gap=gap, exact=exact,
-                )
-                obs_events.publish(
-                    "solver.iteration", solver="double_oracle",
-                    iteration=iteration, value=solution.value, gap=gap,
-                    defender_pool=len(defender_pool),
-                    attacker_pool=len(attacker_pool),
-                    converged=True, certified=exact,
-                )
-                result = DoubleOracleResult(
-                    solution, iteration, len(defender_pool),
-                    len(attacker_pool), gap, gap_history, exact,
-                )
-                probe.store(double_oracle_result_to_json(result))
-                return result
 
     raise GameError(
         f"double oracle did not converge within {max_iterations} iterations "

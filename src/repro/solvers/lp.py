@@ -20,7 +20,7 @@ Solved with ``scipy.optimize.linprog`` (HiGHS).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -28,6 +28,7 @@ from scipy.optimize import linprog
 from repro.core.configuration import MixedConfiguration
 from repro.core.game import GameError, TupleGame
 from repro.core.tuples import EdgeTuple, all_tuples, tuple_vertices
+from repro.graphs.core import tuple_sort_key, vertex_sort_key
 from repro.obs import events as obs_events
 from repro.obs import get_logger, metrics, tracing
 from repro.obs import ledger as obs_ledger
@@ -52,8 +53,9 @@ class LPSolution:
     Attributes
     ----------
     value:
-        The game value: the hit probability an optimal defender forces on
-        an optimal attacker (per attacker).
+        The game value: the payoff an optimal defender guarantees against
+        an optimal attacker (per attacker) — for the coverage duel of the
+        Tuple model, the hit probability.
     defender:
         Optimal defender distribution over k-edge tuples (support only).
     attacker:
@@ -80,6 +82,41 @@ class LPSolution:
         )
 
 
+def _solution_payload(solution: LPSolution) -> Dict:
+    """JSON-ready ``value``/``defender``/``attacker`` of a solution, the
+    mixtures in canonical strategy order (floats round-trip exactly)."""
+    return {
+        "value": solution.value,
+        "defender": [
+            [[list(e) for e in t], p]
+            for t, p in sorted(
+                solution.defender.items(),
+                key=lambda item: tuple_sort_key(item[0]),
+            )
+        ],
+        "attacker": [
+            [v, p]
+            for v, p in sorted(
+                solution.attacker.items(),
+                key=lambda item: vertex_sort_key(item[0]),
+            )
+        ],
+    }
+
+
+def _solution_from_payload(payload: Dict) -> LPSolution:
+    """Inverse of :func:`_solution_payload`; raises ``KeyError``,
+    ``TypeError`` or ``ValueError`` on a malformed payload."""
+    return LPSolution(
+        float(payload["value"]),
+        {
+            tuple(tuple(e) for e in t): float(p)
+            for t, p in payload["defender"]
+        },
+        {v: float(p) for v, p in payload["attacker"]},
+    )
+
+
 def _prune_and_normalize(raw: np.ndarray, keys: List) -> Dict:
     clipped = np.clip(raw, 0.0, None)
     clipped[clipped < _PRUNE] = 0.0
@@ -97,11 +134,15 @@ def minimax_over_strategies(
 ) -> LPSolution:
     """Generic zero-sum minimax: defender mixes over ``strategies``, the
     attacker over ``vertices``; ``coverage_of(strategy)`` yields the
-    vertices that strategy protects.
+    vertices that strategy protects, each worth a payoff of 1 to the
+    defender.  A duel with other payoffs has ``coverage_of`` return a
+    mapping ``vertex -> defender payoff`` instead (vertices it leaves out
+    pay 0) — the weighted model's escape game is solved that way.
 
-    This is the engine under :func:`solve_minimax` and under the
+    This is the engine under :func:`solve_minimax`, the double-oracle
+    restricted duels, the weighted model of :mod:`repro.weighted` and the
     generalized defender models of :mod:`repro.models` (path and star
-    defenders), which differ only in the strategy family.
+    defenders), which differ only in the strategy family or the payoffs.
 
     With ``dual_attacker=True`` the attacker's optimal mixture is read off
     the dual multipliers of the defender LP instead of solving a second
@@ -113,34 +154,63 @@ def minimax_over_strategies(
     strategies = list(strategies)
     if not vertices or not strategies:
         raise GameError("minimax needs non-empty strategy sets on both sides")
-    vertex_index = {v: i for i, v in enumerate(vertices)}
-    n, t_count = len(vertices), len(strategies)
+    payoff = _payoff_matrix(vertices, strategies, coverage_of)
+    return _solve_matrix_duel(payoff, vertices, strategies, dual_attacker)
 
-    # Coverage matrix A[t][v] = 1 iff strategy t protects vertex v.
-    # Strategies may protect vertices outside the attacker's set (e.g. in
-    # the restricted duels of the double-oracle solver); those columns
-    # simply do not exist in this duel.
-    coverage = np.zeros((t_count, n))
+
+def _payoff_matrix(vertices, strategies, coverage_of) -> np.ndarray:
+    """Payoff matrix ``A[t][v]`` of the duel (see
+    :func:`minimax_over_strategies` for what ``coverage_of`` returns).
+
+    Strategies may protect vertices outside the attacker's set (e.g. in
+    the restricted duels of the double-oracle solver); those columns
+    simply do not exist in this duel.
+    """
+    vertex_index = {v: i for i, v in enumerate(vertices)}
+    payoff = np.zeros((len(strategies), len(vertices)))
     for row, strategy in enumerate(strategies):
-        for v in coverage_of(strategy):
+        covered = coverage_of(strategy)
+        if not isinstance(covered, Mapping):
+            covered = dict.fromkeys(covered, 1.0)
+        for v, amount in covered.items():
             column = vertex_index.get(v)
             if column is not None:
-                coverage[row, column] = 1.0
-    return _solve_matrix_duel(coverage, vertices, strategies, dual_attacker)
+                payoff[row, column] = amount
+    return payoff
+
+
+def _scaled_coverage(scale: Mapping, offset: Mapping):
+    """``coverage_of`` for the duel whose payoff against vertex ``v`` is
+    ``scale[v]·[v protected] − offset[v]``.
+
+    Scale 1 and offset 0 give the plain coverage duel, bit for bit; the
+    weighted model's negated escape game has ``scale = offset = w``.
+    Only non-zero offsets are listed for unprotected vertices, so a
+    plain row stays as short as its tuple.
+    """
+    stakes = {v: -amount for v, amount in offset.items() if amount}
+
+    def payoff_of(strategy) -> Dict:
+        row = dict(stakes)
+        for v in tuple_vertices(strategy):
+            row[v] = scale[v] - offset[v]
+        return row
+
+    return payoff_of
 
 
 def _solve_matrix_duel(
-    coverage, vertices, strategies, dual_attacker: bool = False
+    payoff, vertices, strategies, dual_attacker: bool = False
 ) -> LPSolution:
-    """Solve the LP(s) for a 0/1 coverage matrix and package the optima."""
-    t_count, n = coverage.shape
+    """Solve the LP(s) for a defender payoff matrix and package the optima."""
+    t_count, n = payoff.shape
     metrics.counter("lp.solve.count").inc()
     metrics.histogram("lp.matrix.strategies").observe(t_count)
     metrics.histogram("lp.matrix.vertices").observe(n)
     with tracing.span("lp.solve", strategies=t_count, vertices=n), \
             metrics.timer("lp.solve.seconds") as timing:
         solution = _solve_matrix_duel_inner(
-            coverage, vertices, strategies, dual_attacker
+            payoff, vertices, strategies, dual_attacker
         )
     _log.debug(
         "lp.solve", strategies=t_count, vertices=n,
@@ -154,15 +224,15 @@ def _solve_matrix_duel(
 
 
 def _solve_matrix_duel_inner(
-    coverage, vertices, strategies, dual_attacker: bool
+    payoff, vertices, strategies, dual_attacker: bool
 ) -> LPSolution:
-    t_count, n = coverage.shape
+    t_count, n = payoff.shape
 
     # Defender LP: maximize z s.t. (p^T A)_v >= z for all v, sum p = 1.
     # Variables x = (p_0..p_{T-1}, z); minimize -z.
     c = np.zeros(t_count + 1)
     c[-1] = -1.0
-    a_ub = np.hstack([-coverage.T, np.ones((n, 1))])  # z - (A^T p)_v <= 0
+    a_ub = np.hstack([-payoff.T, np.ones((n, 1))])  # z - (A^T p)_v <= 0
     b_ub = np.zeros(n)
     a_eq = np.zeros((1, t_count + 1))
     a_eq[0, :t_count] = 1.0
@@ -176,9 +246,9 @@ def _solve_matrix_duel_inner(
         raise GameError(f"defender LP failed: {defender_res.message}")
 
     if dual_attacker:
-        # The multipliers of the coverage rows are the attacker's optimal
+        # The multipliers of the payoff rows are the attacker's optimal
         # mixture: stationarity of the z column forces them to sum to 1,
-        # and complementary slackness puts mass only on min-hit vertices.
+        # and complementary slackness puts mass only on min-payoff vertices.
         duals = -np.asarray(defender_res.ineqlin.marginals)
         attacker = _prune_and_normalize(duals, list(vertices))
         defender = _prune_and_normalize(defender_res.x[:t_count], strategies)
@@ -187,7 +257,7 @@ def _solve_matrix_duel_inner(
     # Attacker LP: minimize z' s.t. (A q)_t <= z' for all t, sum q = 1.
     c2 = np.zeros(n + 1)
     c2[-1] = 1.0
-    a_ub2 = np.hstack([coverage, -np.ones((t_count, 1))])
+    a_ub2 = np.hstack([payoff, -np.ones((t_count, 1))])
     b_ub2 = np.zeros(t_count)
     a_eq2 = np.zeros((1, n + 1))
     a_eq2[0, :n] = 1.0

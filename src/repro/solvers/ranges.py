@@ -30,6 +30,7 @@ from repro.graphs.core import Edge, Vertex, edge_sort_key, vertex_sort_key
 from repro.obs import events as obs_events
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics, tracing
+from repro.solvers.lp import _payoff_matrix
 
 __all__ = ["StrategyRanges", "attacker_vertex_ranges", "defender_edge_ranges"]
 
@@ -120,13 +121,8 @@ def _coverage_matrix(game: TupleGame, tuple_limit: int):
             f"C(m={game.m}, k={game.k}) exceeds the probing limit {tuple_limit}"
         )
     vertices = game.graph.sorted_vertices()
-    index = {v: i for i, v in enumerate(vertices)}
     tuples = list(all_tuples(game.graph, game.k))
-    coverage = np.zeros((len(tuples), len(vertices)))
-    for row, t in enumerate(tuples):
-        for v in tuple_vertices(t):
-            coverage[row, index[v]] = 1.0
-    return vertices, tuples, coverage
+    return vertices, tuples, _payoff_matrix(vertices, tuples, tuple_vertices)
 
 
 def attacker_vertex_ranges(

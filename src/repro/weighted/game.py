@@ -6,17 +6,24 @@ positive weight ``w(v)`` to every vertex: an attacker on ``v`` earns
 ``w(v)`` if it escapes and 0 if caught, and the defender earns the total
 weight of the attackers it catches.
 
-The game stays *strategically* zero-sum: the attacker's payoff
-``w(v)·(1 − Hit(v))`` differs from the negated defender payoff
-``−w(v)·Hit(v)`` only by ``w(v)``, a constant in the defender's action —
-so best responses, and hence Nash equilibria, coincide with those of the
-zero-sum game whose defender payoff matrix is ``D[t, v] = w(v)·[v ∈ V(t)]``
-(see DESIGN.md §6).  That gives the weighted model the same machinery:
+The game stays *strategically* zero-sum, as the **escape game**
+``E[t, v] = w(v)·(1 − [v ∈ V(t)])``.  The attacker's payoff is exactly
+``E``; the defender's catch ``w(v)·Hit(v)`` is ``w(v) − E``, which
+differs from ``−E`` by ``w(v)``, a constant in the *defender's* action.
+So both sides' best responses, and hence the Nash equilibria, are those
+of the zero-sum game over ``E`` (see DESIGN.md §6).  The catch matrix
+``w(v)·[v ∈ V(t)]`` is *not* equivalent: catch and escape sum to
+``w(v)``, which depends on the *attacker's* action, so under it the
+attacker would hunt light vertices.  The escape game gives the weighted
+model the same machinery:
 
 * **pure NE** exist iff an edge cover of size ``k`` exists — Theorem 3.1's
   proof never uses the weights (an all-covering defender caps every
   attacker at its maximum-possible profit of 0);
-* **mixed NE** come from the exact LP over the weighted matrix;
+* **mixed NE** come from the exact LP over the escape matrix — the
+  duel engine of :mod:`repro.solvers.lp`, fed the negated escape payoff
+  ``w(v)·[v ∈ V(t)] − w(v)`` — or from the shared double-oracle loop of
+  :mod:`repro.solvers.double_oracle` beyond enumeration;
 * the defender's best response is weighted k-edge coverage, which
   :mod:`repro.solvers.best_response` already solves.
 
@@ -33,19 +40,23 @@ import json
 import math
 from typing import Dict, Mapping, Tuple
 
-import numpy as np
-from scipy.optimize import linprog
-
 import repro.cache as result_cache
 from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.game import GameError, TupleGame
 from repro.core.profits import all_hit_probabilities, all_vertex_masses
 from repro.core.serialize import configuration_from_json, configuration_to_json
-from repro.core.tuples import all_tuples, tuple_vertices
-from repro.graphs.core import Graph, Vertex, tuple_sort_key, vertex_sort_key
+from repro.core.tuples import all_tuples
+from repro.graphs.core import Graph, Vertex
 from repro.obs import ledger as obs_ledger
 from repro.solvers.best_response import best_tuple
-from repro.solvers.lp import LPSolution, _prune_and_normalize
+from repro.solvers.double_oracle import _double_oracle_loop
+from repro.solvers.lp import (
+    LPSolution,
+    _scaled_coverage,
+    _solution_from_payload,
+    _solution_payload,
+    minimax_over_strategies,
+)
 
 __all__ = [
     "WeightedTupleGame",
@@ -175,103 +186,28 @@ def weighted_minimax(
 ) -> LPSolution:
     """Exact equilibrium of the weighted duel by LP.
 
-    Defender LP over the matrix ``D[t, v] = w(v)·[v ∈ V(t)]``: the
-    *attacker-facing* guarantee is on escape profit, so the defender
-    constraint is "every vertex's escape profit ``w(v)(1 − hit(v))`` is at
-    most ``z``", minimized; the attacker LP is its dual.  The reported
-    ``value`` is the equilibrium *escape* profit per attacker; the
-    defender's per-attacker catch value follows from the attacker mixture.
+    The escape game ``E[t, v] = w(v)·(1 − [v ∈ V(t)])`` solved by the
+    generic duel engine over its negation ``w(v)·[v ∈ V(t)] − w(v)``
+    (the defender maximizes the least negated escape), with the engine's
+    two-LP duality-gap check.  The reported ``value`` is the equilibrium
+    *escape* profit per attacker; the defender's per-attacker catch value
+    follows from the attacker mixture.
     """
     base = game.base
     if base.tuple_strategy_count() > tuple_limit:
         raise GameError(
             f"C(m={base.m}, k={base.k}) exceeds the LP limit {tuple_limit}"
         )
-    vertices = game.graph.sorted_vertices()
-    index = {v: i for i, v in enumerate(vertices)}
-    tuples = list(all_tuples(game.graph, game.k))
-    n, t_count = len(vertices), len(tuples)
-    w = np.array([game.weights[v] for v in vertices])
-
-    # Escape matrix E[t][v] = w(v) * (1 - [v in V(t)]).
-    covered = np.zeros((t_count, n))
-    for row, t in enumerate(tuples):
-        for v in tuple_vertices(t):
-            covered[row, index[v]] = 1.0
-    escape = (1.0 - covered) * w[None, :]
-
-    # Defender: minimize z s.t. (p^T E)_v <= z for all v; sum p = 1.
-    c = np.zeros(t_count + 1)
-    c[-1] = 1.0
-    a_ub = np.hstack([escape.T, -np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    a_eq = np.zeros((1, t_count + 1))
-    a_eq[0, :t_count] = 1.0
-    res_d = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.array([1.0]),
-        bounds=[(0.0, None)] * t_count + [(None, None)], method="highs",
+    negated = minimax_over_strategies(
+        game.graph.sorted_vertices(),
+        all_tuples(game.graph, game.k),
+        _scaled_coverage(game.weights, game.weights),
     )
-    if not res_d.success:
-        raise GameError(f"weighted defender LP failed: {res_d.message}")
-
-    # Attacker: maximize z' s.t. (E q)_t >= z' for all t; sum q = 1.
-    c2 = np.zeros(n + 1)
-    c2[-1] = -1.0
-    a_ub2 = np.hstack([-escape, np.ones((t_count, 1))])
-    b_ub2 = np.zeros(t_count)
-    a_eq2 = np.zeros((1, n + 1))
-    a_eq2[0, :n] = 1.0
-    res_a = linprog(
-        c2, A_ub=a_ub2, b_ub=b_ub2, A_eq=a_eq2, b_eq=np.array([1.0]),
-        bounds=[(0.0, None)] * n + [(None, None)], method="highs",
-    )
-    if not res_a.success:
-        raise GameError(f"weighted attacker LP failed: {res_a.message}")
-
-    value_d = res_d.fun
-    value_a = -res_a.fun
-    if abs(value_d - value_a) > 1e-7:
-        raise GameError(
-            f"weighted LP duality gap: {value_d!r} vs {value_a!r}"
-        )
-    defender = _prune_and_normalize(res_d.x[:t_count], tuples)
-    attacker = _prune_and_normalize(res_a.x[:n], vertices)
-    return LPSolution(float(value_d), defender, attacker)
+    return LPSolution(-negated.value, negated.defender, negated.attacker)
 
 
 _LP_RESULT_FORMAT = "repro.weighted.lp-result.v1"
 _DO_RESULT_FORMAT = "repro.weighted.double-oracle-result.v1"
-
-
-def _lp_solution_payload(solution: LPSolution) -> Dict:
-    return {
-        "value": solution.value,
-        "defender": [
-            [[list(e) for e in t], p]
-            for t, p in sorted(
-                solution.defender.items(),
-                key=lambda item: tuple_sort_key(item[0]),
-            )
-        ],
-        "attacker": [
-            [v, p]
-            for v, p in sorted(
-                solution.attacker.items(),
-                key=lambda item: vertex_sort_key(item[0]),
-            )
-        ],
-    }
-
-
-def _lp_solution_from_payload(payload: Dict) -> LPSolution:
-    return LPSolution(
-        float(payload["value"]),
-        {
-            tuple(tuple(e) for e in t): float(p)
-            for t, p in payload["defender"]
-        },
-        {v: float(p) for v, p in payload["attacker"]},
-    )
 
 
 def weighted_lp_result_to_json(
@@ -281,7 +217,7 @@ def weighted_lp_result_to_json(
     payload = {
         "format": _LP_RESULT_FORMAT,
         "configuration": json.loads(configuration_to_json(config)),
-        "solution": _lp_solution_payload(solution),
+        "solution": _solution_payload(solution),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -303,7 +239,7 @@ def weighted_lp_result_from_json(
         config = configuration_from_json(
             json.dumps(payload["configuration"])
         )
-        solution = _lp_solution_from_payload(payload["solution"])
+        solution = _solution_from_payload(payload["solution"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GameError(f"malformed weighted-LP payload: {exc}") from exc
     return config, solution
@@ -382,13 +318,14 @@ def weighted_double_oracle(
     tolerance: float = 1e-9,
     max_iterations: int = 300,
 ) -> Tuple[MixedConfiguration, float]:
-    """Weighted equilibrium by lazy strategy generation.
+    """Weighted equilibrium by double oracle over the escape game.
 
     The weighted analogue of :func:`repro.solvers.double_oracle.double_oracle`
-    for instances whose ``C(m, k)`` defeats :func:`weighted_minimax`:
-    restricted weighted LPs over growing pools, with the defender oracle
-    maximizing *weighted* coverage of the attacker mixture and the
-    attacker oracle maximizing the escape profit ``w(v)(1 − hit(v))``.
+    for instances whose ``C(m, k)`` defeats :func:`weighted_minimax`, run
+    by the same loop: the defender oracle maximizes *weighted* coverage
+    of the attacker mixture and the attacker oracle maximizes the escape
+    profit ``w(v)(1 − hit(v))``.  A run whose certified gap exceeds the
+    convergence slack warns and counts like the plain solver does.
 
     Returns ``(equilibrium configuration, escape value per attacker)``.
     Cache-aware like :func:`weighted_lp_equilibrium`.
@@ -404,113 +341,14 @@ def weighted_double_oracle(
             cached = probe.replay(weighted_do_result_from_json)
             if cached is not None:
                 return cached
-        config, value = _weighted_double_oracle_impl(
-            game, tolerance, max_iterations
+        result = _double_oracle_loop(
+            game.base, game.weights, game.weights, tolerance,
+            max_iterations, method="auto", lazy_attacker=False,
         )
+        solution = result.solution
+        config = MixedConfiguration(
+            game.base, [solution.attacker] * game.nu, solution.defender
+        )
+        value = -solution.value
         probe.store(weighted_do_result_to_json(config, value))
     return config, value
-
-
-def _weighted_double_oracle_impl(
-    game: WeightedTupleGame,
-    tolerance: float,
-    max_iterations: int,
-) -> Tuple[MixedConfiguration, float]:
-    import numpy as np
-    from scipy.optimize import linprog
-
-    graph = game.graph
-    vertices = graph.sorted_vertices()
-    uniform_mass = {v: game.weights[v] for v in vertices}
-    from repro.solvers.best_response import greedy_tuple
-
-    seed_tuple, _ = greedy_tuple(graph, uniform_mass, game.k)
-    defender_pool = [seed_tuple]
-    defender_seen = {seed_tuple}
-    heaviest = max(vertices, key=lambda v: (game.weights[v], repr(v)))
-    attacker_pool = [heaviest]
-    attacker_seen = {heaviest}
-
-    def restricted_solution():
-        n, t_count = len(attacker_pool), len(defender_pool)
-        w = np.array([game.weights[v] for v in attacker_pool])
-        covered = np.zeros((t_count, n))
-        index = {v: i for i, v in enumerate(attacker_pool)}
-        for row, t in enumerate(defender_pool):
-            for v in tuple_vertices(t):
-                col = index.get(v)
-                if col is not None:
-                    covered[row, col] = 1.0
-        escape = (1.0 - covered) * w[None, :]
-        c = np.zeros(t_count + 1)
-        c[-1] = 1.0
-        a_ub = np.hstack([escape.T, -np.ones((n, 1))])
-        a_eq = np.zeros((1, t_count + 1))
-        a_eq[0, :t_count] = 1.0
-        res_d = linprog(
-            c, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=np.array([1.0]),
-            bounds=[(0.0, None)] * t_count + [(None, None)], method="highs",
-        )
-        c2 = np.zeros(n + 1)
-        c2[-1] = -1.0
-        a_ub2 = np.hstack([-escape, np.ones((t_count, 1))])
-        a_eq2 = np.zeros((1, n + 1))
-        a_eq2[0, :n] = 1.0
-        res_a = linprog(
-            c2, A_ub=a_ub2, b_ub=np.zeros(t_count), A_eq=a_eq2,
-            b_eq=np.array([1.0]),
-            bounds=[(0.0, None)] * n + [(None, None)], method="highs",
-        )
-        if not (res_d.success and res_a.success):
-            raise GameError("restricted weighted LP failed")
-        from repro.solvers.lp import _prune_and_normalize
-
-        defender = _prune_and_normalize(res_d.x[:t_count], defender_pool)
-        attacker = _prune_and_normalize(res_a.x[:n], attacker_pool)
-        return float(res_d.fun), defender, attacker
-
-    for _ in range(max_iterations):
-        value, defender, attacker = restricted_solution()
-        # Defender oracle: minimize total escape == maximize weighted
-        # coverage of the attacker mixture.
-        weighted_mass = {
-            v: attacker.get(v, 0.0) * game.weights[v] for v in vertices
-        }
-        best_def, _ = best_tuple(graph, weighted_mass, game.k)
-        # Attacker oracle: the vertex with the highest escape profit.
-        hit: Dict = {v: 0.0 for v in vertices}
-        for t, p in defender.items():
-            for v in tuple_vertices(t):
-                hit[v] += p
-        best_att = max(
-            vertices, key=lambda v: (game.weights[v] * (1.0 - hit[v]), repr(v))
-        )
-        att_payoff = game.weights[best_att] * (1.0 - hit[best_att])
-        total_escape = sum(
-            attacker.get(v, 0.0) * game.weights[v] for v in vertices
-        )
-        covered_value = sum(
-            attacker.get(v, 0.0) * game.weights[v]
-            for v in tuple_vertices(best_def)
-        )
-        def_escape_if_best = total_escape - covered_value
-
-        improved = False
-        if def_escape_if_best < value - tolerance and best_def not in defender_seen:
-            defender_pool.append(best_def)
-            defender_seen.add(best_def)
-            improved = True
-        if att_payoff > value + tolerance and best_att not in attacker_seen:
-            attacker_pool.append(best_att)
-            attacker_seen.add(best_att)
-            improved = True
-        if not improved:
-            config = MixedConfiguration(
-                game.base, [attacker] * game.nu, defender
-            )
-            return config, value
-
-    raise GameError(
-        f"weighted double oracle did not converge within {max_iterations} "
-        "iterations"
-    )

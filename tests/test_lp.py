@@ -106,3 +106,28 @@ class TestLPEquilibrium:
     def test_repr(self):
         solution = solve_minimax(TupleGame(path_graph(4), 1, nu=1))
         assert "value=" in repr(solution)
+
+
+class TestPayoffDuel:
+    def test_mapping_payoffs(self):
+        from repro.solvers.lp import minimax_over_strategies
+
+        # Matching pennies in defender payoffs: value 0, both sides 50/50.
+        payoffs = {"H": {"h": 1.0, "t": -1.0}, "T": {"h": -1.0, "t": 1.0}}
+        solution = minimax_over_strategies(["h", "t"], ["H", "T"], payoffs.get)
+        assert solution.value == pytest.approx(0.0, abs=1e-9)
+        assert solution.defender == pytest.approx({"H": 0.5, "T": 0.5})
+        assert solution.attacker == pytest.approx({"h": 0.5, "t": 0.5})
+
+    def test_unit_scale_reproduces_coverage_matrix(self):
+        from repro.core.tuples import all_tuples, tuple_vertices
+        from repro.solvers.lp import _payoff_matrix, _scaled_coverage
+
+        graph = cycle_graph(5)
+        vertices = graph.sorted_vertices()
+        tuples = list(all_tuples(graph, 2))
+        plain = _payoff_matrix(vertices, tuples, tuple_vertices)
+        scaled = _payoff_matrix(vertices, tuples, _scaled_coverage(
+            dict.fromkeys(vertices, 1.0), dict.fromkeys(vertices, 0.0),
+        ))
+        assert plain.tobytes() == scaled.tobytes()

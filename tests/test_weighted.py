@@ -198,3 +198,19 @@ class TestWeightedDoubleOracle:
         b_config, b_value = weighted_double_oracle(game)
         assert a_value == b_value
         assert a_config.tp_distribution() == b_config.tp_distribution()
+
+
+class TestSharedDuelEngine:
+    """The weighted solvers run on the core LP and double-oracle loop."""
+
+    def test_double_oracle_counts_its_run(self):
+        from repro.obs import metrics
+        from repro.weighted import weighted_double_oracle
+
+        graph = path_graph(6)
+        weights = uniform_weights(graph)
+        weights[2] = 3.0
+        game = WeightedTupleGame(graph, 2, weights, nu=1)
+        before = metrics.counter("double_oracle.runs.count").value
+        weighted_double_oracle(game)
+        assert metrics.counter("double_oracle.runs.count").value == before + 1
