@@ -117,7 +117,8 @@ mypy:
 
 ## the full CI gate: static analysis (once, via lint-sarif, which runs
 ## the same strict baseline check as lint), types, instrumentation smoke test,
-## report rendering, docs freshness, tier-1 tests, hot-path perf smoke,
-## perf watchdog, result-cache lifecycle, solve-service lifecycle,
-## differential fuzz
-ci: lint-sarif mypy obs-check report-smoke api-docs-check test bench-smoke bench-watch cache-smoke serve-smoke slo-smoke fuzz-smoke
+## report rendering, tier-1 tests (docs freshness included:
+## tests/test_api_docs.py runs the same check as api-docs-check),
+## hot-path perf smoke, perf watchdog, result-cache lifecycle,
+## solve-service lifecycle, differential fuzz
+ci: lint-sarif mypy obs-check report-smoke test bench-smoke bench-watch cache-smoke serve-smoke slo-smoke fuzz-smoke

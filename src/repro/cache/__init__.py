@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.obs import get_logger, metrics
+from repro.obs.sink import env_directory, env_enabled
 
 from repro.cache.keys import game_sha256
 from repro.cache.store import ResultCache
@@ -65,14 +66,11 @@ class _CacheState:
     __slots__ = ("enabled", "directory", "store", "lock")
 
     def __init__(self) -> None:
-        self.enabled = False  # repro: lock(lock)
-        self.directory = Path(  # repro: lock(lock)
-            os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        )
+        self.enabled = env_enabled("cache")  # repro: lock(lock)
+        self.directory = env_directory(  # repro: lock(lock)
+            "cache", DEFAULT_CACHE_DIR)
         self.store: Optional[ResultCache] = None  # repro: lock(lock)
         self.lock = threading.Lock()
-        if os.environ.get("REPRO_CACHE", "") not in ("", "0", "false", "no"):
-            self.enabled = True
 
 
 _STATE = _CacheState()

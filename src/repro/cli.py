@@ -1154,6 +1154,17 @@ def _dispatch(args: argparse.Namespace, graph: Graph) -> int:
     raise GameError(f"unknown command {args.command!r}")
 
 
+#: The JSONL sinks behind ``--<flag>`` / ``--<flag>-dir``: the option's
+#: dest, then the functions turning the sink on (with the directory,
+#: None for the default) and off.
+_SINKS = (
+    ("ledger", obs_ledger.enable_ledger, obs_ledger.disable_ledger),
+    ("events", obs_events.enable_events, obs_events.disable_events),
+    ("access_log", obs_access.enable_access_log,
+     obs_access.disable_access_log),
+)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
@@ -1169,20 +1180,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if trace:
         obs_tracing.enable_tracing(True)
         obs_tracing.clear_trace()
-    ledger_dir = getattr(args, "ledger_dir", None)
-    use_ledger = bool(getattr(args, "ledger", False)) or ledger_dir is not None
-    if use_ledger:
-        obs_ledger.enable_ledger(ledger_dir)
-    events_dir = getattr(args, "events_dir", None)
-    use_events = bool(getattr(args, "events", False)) or events_dir is not None
-    if use_events:
-        obs_events.enable_events(events_dir)
-    access_dir = getattr(args, "access_log_dir", None)
-    use_access = (
-        bool(getattr(args, "access_log", False)) or access_dir is not None
-    )
-    if use_access:
-        obs_access.enable_access_log(access_dir)
+    opened_sinks = []
+    for flag, enable, disable in _SINKS:
+        directory = getattr(args, f"{flag}_dir", None)
+        if getattr(args, flag, False) or directory is not None:
+            enable(directory)
+            opened_sinks.append(disable)
     cache_dir = getattr(args, "cache_dir", None)
     # The ``cache`` subcommand *inspects* the store via its own --dir; the
     # memoization switch stays off for it.
@@ -1220,12 +1223,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         _emit(f"error: {exc}", err=True)
         return 2
     finally:
-        if use_ledger:
-            obs_ledger.disable_ledger()
-        if use_events:
-            obs_events.disable_events()
-        if use_access:
-            obs_access.disable_access_log()
+        for disable in opened_sinks:
+            disable()
         if use_cache:
             result_cache.disable_cache()
         if trace or args.command in ("stats", "profile"):

@@ -14,9 +14,12 @@ for conventions and examples):
   and near-free when disabled; carries the per-request W3C trace
   context (``trace_id``/``span_id``, ``traceparent`` parsing) that
   correlates spans, ledger records, events and access-log lines;
-* :mod:`repro.obs.ledger` — the run-provenance ledger: a durable
-  append-only JSONL record (fingerprint, environment, metrics, span
-  tree, outcome) of every wrapped entry-point run;
+* :mod:`repro.obs.sink` — the one append-only JSONL sink under the
+  ledger, the event bus and the access log: switch, held-handle writer,
+  torn-line-tolerant reader and the ``REPRO_<NAME>`` env convention;
+* :mod:`repro.obs.ledger` — the run-provenance ledger: one record
+  (fingerprint, environment, metrics, span tree, outcome) per wrapped
+  entry-point run;
 * :mod:`repro.obs.prof` — the deterministic profiler: span trees as
   folded-stack flamegraphs, Chrome ``trace_event`` JSON and self/total
   aggregation tables;
@@ -24,7 +27,7 @@ for conventions and examples):
   benchmark timings against their trailing-median history;
 * :mod:`repro.obs.events` — the live telemetry event bus: typed run
   events (``solver.iteration``, ``lp.solve``, ...) in a bounded ring
-  buffer with subscribers and an opt-in JSONL sink;
+  buffer with subscribers, optionally written to its sink;
 * :mod:`repro.obs.resources` — the daemon-thread process resource
   sampler (RSS, CPU, GC, threads) feeding the metrics registry and the
   ``resources`` block of every ledger record;
@@ -32,8 +35,7 @@ for conventions and examples):
   percentiles, error rates, cross-revision deltas) and the
   self-contained HTML/markdown run reports;
 * :mod:`repro.obs.access` — the per-request structured access log of
-  the solve service (``repro.obs/access/v1`` JSONL lines; opt-in and
-  near-free when off);
+  the solve service (``repro.obs/access/v1`` lines);
 * :mod:`repro.obs.slo` — declarative service-level objectives: latency
   p95 targets and error-rate budgets evaluated over sliding windows,
   with burn rates, ``slo.breach`` events and the ``repro-defender slo``

@@ -17,24 +17,21 @@ is the stable machine code of the error contract (``null`` on success);
 ``cache_hit`` is ``null`` for non-solver endpoints; ``inflight`` is the
 worker-pool occupancy sampled at completion.
 
-The log follows the obs cost contract: **opt-in and near-free when
-off** (the default) — :func:`log_request` is a single boolean check
-while disabled.  Enable with :func:`enable_access_log`, the CLI's
-``--access-log`` flag, or ``REPRO_ACCESS=1`` in the environment
-(``REPRO_ACCESS_DIR`` overrides the ``.repro/access/`` sink directory).
+The log is one of the JSONL sinks (:mod:`repro.obs.sink`): opt-in,
+a single boolean check while off, switched by :func:`enable_access_log`,
+the CLI's ``--access-log`` flag or ``REPRO_ACCESS=1``
+(``REPRO_ACCESS_DIR``; default ``.repro/access/``).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 from pathlib import Path
 from time import time
 from typing import Any, Dict, List, Optional
 
 import repro.obs.metrics as _metrics
-from repro.obs.log import get_logger
+from repro.obs.sink import Sink, read_records
 
 __all__ = [
     "ACCESS_SCHEMA",
@@ -47,81 +44,32 @@ __all__ = [
     "read_access",
 ]
 
-_log = get_logger("repro.obs.access")
-
 ACCESS_SCHEMA = "repro.obs/access/v1"
 DEFAULT_ACCESS_DIR = ".repro/access"
 SINK_FILENAME = "access.jsonl"
 
-
-class _AccessState:
-    """Process-global access-log switch plus its append-only sink."""
-
-    __slots__ = ("enabled", "sink", "sink_path", "lock")
-
-    def __init__(self) -> None:
-        self.enabled = False  # repro: lock(lock)
-        self.sink = None  # repro: lock(lock)
-        self.sink_path: Optional[Path] = None  # repro: lock(lock)
-        self.lock = threading.Lock()
-        if os.environ.get("REPRO_ACCESS", "") not in ("", "0", "false", "no"):
-            self.enabled = True
-            self._open_sink(Path(
-                os.environ.get("REPRO_ACCESS_DIR", DEFAULT_ACCESS_DIR)
-            ))
-
-    def _open_sink(self, directory: Path) -> None:
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            self.sink_path = directory / SINK_FILENAME
-            self.sink = open(self.sink_path, "a", encoding="utf-8")
-        except OSError as exc:  # the log must never break the service
-            self.sink = None
-            self.sink_path = None
-            _log.warning("access.sink.open_failed", directory=str(directory),
-                         error=type(exc).__name__)
-
-    def _close_sink(self) -> None:
-        if self.sink is not None:
-            try:
-                self.sink.close()
-            except OSError:
-                pass
-        self.sink = None
-        self.sink_path = None
-
-
-_STATE = _AccessState()
+_SINK = Sink("access", DEFAULT_ACCESS_DIR)
 
 
 def enable_access_log(directory: Optional[os.PathLike] = None) -> None:
     """Turn the access log on, appending to ``<directory>/access.jsonl``
     (``.repro/access/`` when no directory is given)."""
-    with _STATE.lock:
-        _STATE._close_sink()
-        root = Path(directory) if directory is not None \
-            else Path(DEFAULT_ACCESS_DIR)
-        _STATE._open_sink(root)
-        _STATE.enabled = _STATE.sink is not None
+    _SINK.enable(DEFAULT_ACCESS_DIR if directory is None else directory)
 
 
 def disable_access_log() -> None:
     """Turn the access log off and close the sink."""
-    with _STATE.lock:
-        _STATE.enabled = False
-        _STATE._close_sink()
+    _SINK.disable()
 
 
 def access_log_enabled() -> bool:
     """True while :func:`log_request` is recording request lines."""
-    with _STATE.lock:
-        return _STATE.enabled
+    return _SINK.is_enabled()
 
 
 def access_log_path() -> Optional[Path]:
     """The JSONL file request lines are appended to (None while off)."""
-    with _STATE.lock:
-        return _STATE.sink_path
+    return _SINK.path(SINK_FILENAME)
 
 
 def log_request(
@@ -142,7 +90,7 @@ def log_request(
     # Deliberate benign race: a stale read of the boolean switch costs
     # one line around enable/disable, and keeps the disabled-path
     # overhead to a single attribute load (the obs cost contract).
-    if not _STATE.enabled:  # repro: noqa[LCK001]
+    if not _SINK.enabled:
         return None
     record: Dict[str, Any] = {
         "schema": ACCESS_SCHEMA,
@@ -156,16 +104,8 @@ def log_request(
         "cache_hit": cache_hit,
         "inflight": inflight,
     }
-    with _metrics.timer("access.append.seconds"), _STATE.lock:
-        if not _STATE.enabled or _STATE.sink is None:
-            return None
-        try:
-            _STATE.sink.write(json.dumps(record, sort_keys=True) + "\n")
-            _STATE.sink.flush()
-        except (OSError, ValueError) as exc:
-            _metrics.counter("access.sink_errors.count").inc()
-            _log.warning("access.sink.write_failed", error=type(exc).__name__)
-            _STATE._close_sink()
+    with _metrics.timer("access.append.seconds"):
+        if not _SINK.append(SINK_FILENAME, record):
             return None
     _metrics.counter("access.lines.count").inc()
     return record
@@ -183,20 +123,4 @@ def read_access(path: os.PathLike) -> List[Dict[str, Any]]:
         target = Path(path)
         if target.is_dir():
             target = target / SINK_FILENAME
-        records: List[Dict[str, Any]] = []
-        try:
-            lines = target.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return records
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                _metrics.counter("access.read.corrupt_lines.count").inc()
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-    return records
+        return list(read_records(target, "access"))

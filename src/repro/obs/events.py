@@ -13,16 +13,14 @@ bounded ring buffer.  Consumers attach three ways:
   ``events.subscriber_errors.count`` and never break the publisher);
 * :func:`recent` — snapshot the newest buffered events (the live view
   behind ``repro-defender tail``);
-* the **JSONL sink** — when enabled with a directory, every event is
-  appended to ``events.jsonl`` under it (``.repro/events/`` by default),
-  so ``repro-defender tail --follow`` can stream a run from another
-  process and finished runs replay exactly.
+* the **JSONL sink** — with a directory, every event is also appended
+  to ``events.jsonl`` under it, so ``repro-defender tail --follow`` can
+  stream a run from another process and finished runs replay exactly.
 
-The bus follows the tracer/ledger cost contract: **opt-in and
-near-free when off**.  :func:`publish` is a single boolean check while
-disabled (the default); enable via :func:`enable_events`, the CLI
-``--events`` flag, or ``REPRO_EVENTS=1`` (``REPRO_EVENTS_DIR`` points
-the sink somewhere else).  Event schema::
+The bus is one of the JSONL sinks (:mod:`repro.obs.sink`): opt-in, and
+:func:`publish` is a single boolean check while off.  Switch it with
+:func:`enable_events`, the CLI ``--events`` flag or ``REPRO_EVENTS=1``
+(``REPRO_EVENTS_DIR``; default ``.repro/events/``).  Event schema::
 
     {"schema": "repro.obs/event/v1", "seq": 17, "ts": 1754640000.123,
      "type": "solver.iteration", "payload": {...}}
@@ -33,16 +31,16 @@ multi-threaded streams have a total order independent of clock ties.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from collections import deque
 from pathlib import Path
-from time import sleep, time
+from time import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 import repro.obs.metrics as _metrics
 from repro.obs.log import get_logger
+from repro.obs.sink import Sink, read_records
 
 __all__ = [
     "EVENT_SCHEMA",
@@ -87,50 +85,22 @@ EVENT_TYPES = frozenset({
 
 
 class _BusState:
-    """Process-global bus: switch, ring buffer, subscribers, sink."""
+    """Process-global bus: ring buffer, subscribers, sequence numbers.
 
-    __slots__ = ("enabled", "buffer", "subscribers", "sink", "sink_path",
-                 "seq", "next_token", "lock")
+    The on/off switch and the JSONL file are the sink's (``_SINK``)."""
+
+    __slots__ = ("buffer", "subscribers", "seq", "next_token", "lock")
 
     def __init__(self) -> None:
-        self.enabled = False  # repro: lock(lock)
         self.buffer: deque = deque(maxlen=DEFAULT_CAPACITY)  # repro: lock(lock)
         self.subscribers: Dict[int, Callable[[Dict[str, Any]], None]] = {}  # repro: lock(lock)
-        self.sink = None  # repro: lock(lock)
-        self.sink_path: Optional[Path] = None  # repro: lock(lock)
         self.seq = 0  # repro: lock(lock)
         self.next_token = 1  # repro: lock(lock)
         self.lock = threading.Lock()
-        if os.environ.get("REPRO_EVENTS", "") not in ("", "0", "false", "no"):
-            self.enabled = True
-            self._open_sink(Path(
-                os.environ.get("REPRO_EVENTS_DIR", DEFAULT_EVENTS_DIR)
-            ))
-
-    def _open_sink(self, directory: Optional[Path]) -> None:
-        if directory is None:
-            return
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            self.sink_path = directory / SINK_FILENAME
-            self.sink = open(self.sink_path, "a", encoding="utf-8")
-        except OSError as exc:  # the bus must never break the workload
-            self.sink = None
-            self.sink_path = None
-            _log.warning("events.sink.open_failed", directory=str(directory),
-                         error=type(exc).__name__)
-
-    def _close_sink(self) -> None:
-        if self.sink is not None:
-            try:
-                self.sink.close()
-            except OSError:
-                pass
-        self.sink = None
-        self.sink_path = None
 
 
 _STATE = _BusState()
+_SINK = Sink("events", DEFAULT_EVENTS_DIR)
 
 
 def enable_events(directory: Optional[os.PathLike] = None,
@@ -142,32 +112,24 @@ def enable_events(directory: Optional[os.PathLike] = None,
     given); ``sink=False`` keeps events purely in-memory — the mode the
     overhead benchmark and in-process subscribers use.
     """
-    with _STATE.lock:
-        _STATE._close_sink()
-        if sink:
-            root = Path(directory) if directory is not None \
-                else Path(DEFAULT_EVENTS_DIR)
-            _STATE._open_sink(root)
-        _STATE.enabled = True
+    if directory is None:
+        directory = DEFAULT_EVENTS_DIR
+    _SINK.enable(directory if sink else None)
 
 
 def disable_events() -> None:
     """Turn the bus off and close the JSONL sink (buffer is kept)."""
-    with _STATE.lock:
-        _STATE.enabled = False
-        _STATE._close_sink()
+    _SINK.disable()
 
 
 def events_enabled() -> bool:
     """True while :func:`publish` is recording events."""
-    with _STATE.lock:
-        return _STATE.enabled
+    return _SINK.is_enabled()
 
 
 def events_sink_path() -> Optional[Path]:
     """The JSONL file events are appended to (None when sink-less)."""
-    with _STATE.lock:
-        return _STATE.sink_path
+    return _SINK.path(SINK_FILENAME)
 
 
 def clear_events() -> None:
@@ -185,7 +147,7 @@ def publish(event_type: str, **payload: Any) -> Optional[Dict[str, Any]]:
     # Deliberate benign race: a stale read of the boolean switch costs
     # one event around enable/disable, and keeps the disabled-path
     # overhead to a single attribute load.
-    if not _STATE.enabled:  # repro: noqa[LCK001]
+    if not _SINK.enabled:
         return None
     return _publish(event_type, payload)
 
@@ -201,17 +163,9 @@ def _publish(event_type: str, payload: Dict[str, Any]) -> Dict[str, Any]:
             "payload": payload,
         }
         _STATE.buffer.append(event)
-        if _STATE.sink is not None:
-            try:
-                _STATE.sink.write(
-                    json.dumps(event, sort_keys=True, default=str) + "\n"
-                )
-                _STATE.sink.flush()
-            except (OSError, ValueError) as exc:
-                _metrics.counter("events.sink_errors.count").inc()
-                _log.warning("events.sink.write_failed",
-                             error=type(exc).__name__)
-                _STATE._close_sink()
+        # Still under the lock that assigned ``seq``: file order is
+        # sequence order.
+        _SINK.append(SINK_FILENAME, event)
         callbacks = list(_STATE.subscribers.values())
     _metrics.counter("events.published.count").inc()
     if event_type not in EVENT_TYPES:
@@ -276,27 +230,9 @@ def read_events(path: os.PathLike,
     torn tail is expected when tailing a live run.
     """
     with _metrics.timer("events.read.seconds"):
-        wanted = set(types) if types is not None else None
-        events: List[Dict[str, Any]] = []
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return events
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                _metrics.counter("events.read.corrupt_lines.count").inc()
-                continue
-            if not isinstance(event, dict):
-                continue
-            if wanted is not None and event.get("type") not in wanted:
-                continue
-            events.append(event)
-    return events
+        wanted = None if types is None else set(types)
+        return [event for event in read_records(path, "events")
+                if wanted is None or event.get("type") in wanted]
 
 
 def tail_events(
@@ -314,34 +250,8 @@ def tail_events(
     ``repro-defender tail --follow`` loop drains (Ctrl-C breaks it).
     """
     with _metrics.timer("events.tail.setup.seconds"):
-        target = Path(path)
-        wanted = set(types) if types is not None else None
-        offset = 0
-    while True:
-        try:
-            with open(target, "r", encoding="utf-8") as handle:
-                handle.seek(offset)
-                chunk = handle.read()
-        except OSError:
-            chunk = ""
-        if chunk:
-            # Only consume whole lines; a torn tail stays for next poll.
-            complete = chunk.rfind("\n") + 1
-            offset += len(chunk[:complete].encode("utf-8"))
-            for line in chunk[:complete].splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    _metrics.counter("events.read.corrupt_lines.count").inc()
-                    continue
-                if not isinstance(event, dict):
-                    continue
-                if wanted is not None and event.get("type") not in wanted:
-                    continue
-                yield event
-        if not follow or (stop is not None and stop()):
-            return
-        sleep(poll_interval)
+        wanted = None if types is None else set(types)
+    for event in read_records(path, "events", follow=follow,
+                              poll_interval=poll_interval, stop=stop):
+        if wanted is None or event.get("type") in wanted:
+            yield event

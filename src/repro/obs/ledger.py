@@ -18,13 +18,14 @@ for how long and with what outcome:
   response header (see :mod:`repro.obs.tracing`);
 * the **outcome**: ``ok`` or ``error`` with the exception type/message.
 
-The ledger is **opt-in and near-free when off** (the default): wrapped
-entry points call :func:`run`, which returns a shared no-op context
-manager unless the ledger was enabled via :func:`enable_ledger`, the CLI
-``--ledger`` flag, or ``REPRO_LEDGER=1`` (``REPRO_LEDGER_DIR`` overrides
-the directory).  Records go to one JSONL file per entry point
-(``equilibria.solve.jsonl``, ...), append-only — nothing is ever
-rewritten, so the files are a tamper-evident perf/provenance trajectory.
+The ledger is one of the JSONL sinks (:mod:`repro.obs.sink`), opt-in
+and near-free when off: wrapped entry points call :func:`run`, which
+returns a shared no-op context manager unless the ledger was enabled via
+:func:`enable_ledger`, the CLI ``--ledger`` flag or ``REPRO_LEDGER=1``
+(``REPRO_LEDGER_DIR``; default ``.repro/ledger/``).  Records go to one
+append-only JSONL file per entry point (``equilibria.solve.jsonl``, ...);
+nothing is ever rewritten, so the files are a tamper-evident
+perf/provenance trajectory.
 
 Reading back: :func:`read_runs` (with entry-point / status / fingerprint
 filters), :func:`find_run` and :func:`run_diff` (field-by-field and
@@ -39,16 +40,16 @@ import os
 import platform
 import subprocess
 import sys
-import threading
 from pathlib import Path
 from time import perf_counter, time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 import repro.obs.events as _events
 import repro.obs.metrics as _metrics
 import repro.obs.resources as _resources
 import repro.obs.tracing as _tracing
 from repro.obs.log import get_logger
+from repro.obs.sink import Sink, read_records
 
 __all__ = [
     "RECORD_SCHEMA",
@@ -80,48 +81,27 @@ RECORD_SCHEMA_V1 = "repro.obs/ledger-record/v1"
 DEFAULT_LEDGER_DIR = ".repro/ledger"
 
 
-class _LedgerState:
-    """Process-global on/off switch and target directory."""
-
-    __slots__ = ("enabled", "directory", "lock")
-
-    def __init__(self) -> None:
-        self.enabled = False  # repro: lock(lock)
-        self.directory = Path(  # repro: lock(lock)
-            os.environ.get("REPRO_LEDGER_DIR", DEFAULT_LEDGER_DIR)
-        )
-        self.lock = threading.Lock()
-        if os.environ.get("REPRO_LEDGER", "") not in ("", "0", "false", "no"):
-            self.enabled = True
-
-
-_STATE = _LedgerState()
+_SINK = Sink("ledger", DEFAULT_LEDGER_DIR)
 
 
 def enable_ledger(directory: Optional[os.PathLike] = None) -> None:
     """Start recording wrapped runs (optionally into ``directory``)."""
-    with _STATE.lock:
-        if directory is not None:
-            _STATE.directory = Path(directory)
-        _STATE.enabled = True
+    _SINK.enable(ledger_directory() if directory is None else directory)
 
 
 def disable_ledger() -> None:
     """Stop recording wrapped runs."""
-    with _STATE.lock:
-        _STATE.enabled = False
+    _SINK.disable()
 
 
 def ledger_enabled() -> bool:
     """True when wrapped entry points are currently being recorded."""
-    with _STATE.lock:
-        return _STATE.enabled
+    return _SINK.is_enabled()
 
 
 def ledger_directory() -> Path:
     """The directory records are appended under."""
-    with _STATE.lock:
-        return _STATE.directory
+    return _SINK.current_directory()
 
 
 # --------------------------------------------------------------------------
@@ -198,11 +178,6 @@ def canonical_sha256(payload: Any) -> str:
     ``TypeError`` on values with no canonical encoding.
     """
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-#: Backward-compatible alias — tools/check_obs.py and older callers used
-#: the underscored name before the canonicalizer became public API.
-_canonical_sha256 = canonical_sha256
 
 
 def fingerprint_game(game) -> Dict[str, Any]:
@@ -369,10 +344,12 @@ class _RunContext:
                     "type": exc_type.__name__,
                     "message": str(exc),
                 }
-            record["run_id"] = _canonical_sha256(record)[:16]
-            _append(record)
+            record["run_id"] = canonical_sha256(record)[:16]
+            with _metrics.timer("ledger.append.seconds"):
+                written = _SINK.append(_record_filename(self.entry_point),
+                                       record)
         except Exception as inner:  # recording must never break the solve
-            _metrics.counter("ledger.errors.count").inc()
+            written = False
             _log.warning(
                 "ledger.append.failed", entry_point=self.entry_point,
                 error=type(inner).__name__,
@@ -384,26 +361,16 @@ class _RunContext:
             if self._auto_trace:
                 _tracing.enable_tracing(False)
             _resources.stop_sampler()
+        _metrics.counter(
+            "ledger.records.count" if written else "ledger.errors.count"
+        ).inc()
         return False
 
 
-def _record_path(entry_point: str) -> Path:
-    safe = "".join(c if c.isalnum() or c in "._-" else "_"
-                   for c in entry_point)
-    return ledger_directory() / f"{safe}.jsonl"
-
-
-def _append(record: Dict[str, Any]) -> Path:
-    """Append one record to its entry point's JSONL file (atomic line)."""
-    with _metrics.timer("ledger.append.seconds"):
-        path = _record_path(record["entry_point"])
-        line = json.dumps(record, sort_keys=True, default=str) + "\n"
-        with _STATE.lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-        _metrics.counter("ledger.records.count").inc()
-    return path
+def _record_filename(entry_point: str) -> str:
+    """``<entry point>.jsonl``, with unsafe characters replaced."""
+    return "".join(c if c.isalnum() or c in "._-" else "_"
+                   for c in entry_point) + ".jsonl"
 
 
 def run(entry_point: str, game=None,
@@ -427,7 +394,7 @@ def run(entry_point: str, game=None,
     # Deliberate benign race: a stale read of the switch misclassifies
     # one run around enable/disable and keeps the disabled path to a
     # single attribute load on every wrapped entry point.
-    if _STATE.enabled:  # repro: noqa[LCK001]
+    if _SINK.enabled:
         return _RunContext(entry_point, game, fingerprint, attributes)
     return _RunContext(entry_point, game, fingerprint, attributes,
                        record_run=False) \
@@ -436,28 +403,6 @@ def run(entry_point: str, game=None,
 
 # --------------------------------------------------------------------------
 # reading back
-
-
-def _iter_records(directory: Path) -> Iterator[Dict[str, Any]]:
-    for path in sorted(directory.glob("*.jsonl")):
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            continue
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # Torn write at the tail of an append-only log: tolerated,
-                # but counted and logged so silent corruption is visible.
-                _metrics.counter("ledger.read.corrupt_lines.count").inc()
-                _log.warning("ledger.read.corrupt_line", file=path.name)
-                continue
-            if isinstance(record, dict):
-                yield record
 
 
 def read_runs(
@@ -479,8 +424,8 @@ def read_runs(
         root = Path(directory) if directory is not None \
             else ledger_directory()
         records = []
-        if root.is_dir():
-            for record in _iter_records(root):
+        for path in sorted(root.glob("*.jsonl")):
+            for record in read_records(path, "ledger"):
                 if entry_point is not None \
                         and record.get("entry_point") != entry_point:
                     continue

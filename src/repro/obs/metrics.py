@@ -34,7 +34,7 @@ import json
 import math
 import threading
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 __all__ = [
     "Counter",
@@ -48,7 +48,23 @@ __all__ = [
     "histogram",
     "timer",
     "render_snapshot",
+    "nearest_rank",
 ]
+
+
+def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile ``q`` (in [0, 100]) of an ascending sequence.
+
+    The rank ``ceil(q * n / 100)`` is computed in integers on ``q * n``
+    rounded to six decimals, so binary float error cannot push it up
+    one: the 99.9th percentile of 1..1000 is 999, not 1000.  Returns 0.0
+    for an empty sequence.
+    """
+    if not sorted_values:
+        return 0.0
+    micro_rank = round(q * len(sorted_values) * 10**6)
+    rank = -(-micro_rank // 10**8)
+    return float(sorted_values[min(max(rank, 1), len(sorted_values)) - 1])
 
 
 class Counter:
@@ -147,11 +163,7 @@ class Histogram:
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100]; got {q}")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        return nearest_rank(sorted(self._samples), q)
 
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, count={self.count}, mean={self.mean:.6g})"

@@ -75,14 +75,6 @@ def _group_key(record: Dict[str, Any], group_by: str) -> str:
     )
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending sequence (q in [0, 100])."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, -(-len(sorted_values) * q // 100))  # ceil without math
-    return float(sorted_values[int(rank) - 1])
-
-
 def aggregate_runs(
     records: Sequence[Dict[str, Any]], group_by: str = "entry_point"
 ) -> List[Dict[str, Any]]:
@@ -109,8 +101,8 @@ def aggregate_runs(
                 "errors": errors,
                 "error_rate": errors / len(members),
                 "duration_s": {
-                    "p50": _percentile(durations, 50),
-                    "p95": _percentile(durations, 95),
+                    "p50": _metrics.nearest_rank(durations, 50),
+                    "p95": _metrics.nearest_rank(durations, 95),
                     "mean": sum(durations) / len(durations),
                     "min": durations[0],
                     "max": durations[-1],
@@ -372,7 +364,7 @@ def _watchdog_section(watchdog_doc: Optional[Dict[str, Any]]) -> str:
         if not values:
             continue
         trailing = sorted(values[:-1]) or values
-        median = _percentile(trailing, 50)
+        median = _metrics.nearest_rank(trailing, 50)
         regressed = median > 0 and values[-1] > median * 1.5
         status = (
             '<span class="status regressed">&#9650; regressed</span>'

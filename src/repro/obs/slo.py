@@ -203,15 +203,6 @@ def load_slo_config(path: "Path | str") -> List[SloObjective]:
     return objectives
 
 
-def _percentile(sorted_values: List[float], pct: float) -> float:
-    """Nearest-rank percentile of an ascending list (same convention as
-    the metrics registry's histogram summaries)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, int(len(sorted_values) * pct / 100.0 + 0.9999999))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
 def _evaluate_one(objective: SloObjective,
                   records: Iterable[Dict[str, Any]],
                   now: float) -> Dict[str, Any]:
@@ -235,7 +226,7 @@ def _evaluate_one(objective: SloObjective,
             latencies.append(float(latency))
     latencies.sort()
     error_rate = (errors / requests) if requests else 0.0
-    p95 = _percentile(latencies, 95.0)
+    p95 = _metrics.nearest_rank(latencies, 95.0)
     result: Dict[str, Any] = {
         "name": objective.name,
         "endpoint": objective.endpoint,

@@ -45,6 +45,7 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.obs.metrics as _metrics
+from repro.obs.sink import env_enabled
 
 __all__ = [
     "Span",
@@ -63,7 +64,7 @@ __all__ = [
     "render_trace",
 ]
 
-_enabled = os.environ.get("REPRO_TRACE", "") not in ("", "0", "false", "no")
+_enabled = env_enabled("trace")
 
 _TRACEPARENT_VERSION = "00"
 

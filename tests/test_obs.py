@@ -61,6 +61,10 @@ class TestHistogram:
         assert h.min == 1.0
         assert h.count == 100
         assert h.mean == pytest.approx(50.5)
+        fine = Histogram("t.fine")
+        for v in range(1, 1001):
+            fine.observe(float(v))
+        assert fine.percentile(99.9) == 999.0
 
     def test_empty_histogram_is_safe(self):
         h = Histogram("t.seconds")
