@@ -21,7 +21,9 @@ check                         theorem     cross-checked paths
                                           LP, best-response certificate;
                                           unit weights vs ``1 − v*``
 ``graph-io-roundtrip``        —           graph JSON + edge-list codecs
-``kernel-reference``          —           coverage kernel vs brute-force argmax
+``kernel-reference``          —           exhaustive DFS, branch and bound and
+                                          ``auto`` (same tuple, same value bits)
+                                          vs brute-force argmax
 ``simulation-agreement``      D2.1        vectorized Monte Carlo vs exact profit
 ``ranges-consistency``        —           polytope probes vs LP value (gated)
 ============================  ==========  =======================================
@@ -377,14 +379,30 @@ def _reference_best(game: TupleGame, weights: Dict) -> float:
 
 
 def check_kernel_reference(game: TupleGame, tol: float) -> List[Violation]:
-    """The exact coverage kernel must match a brute-force best response."""
+    """The exact coverage searches must return one tuple and one value,
+    bit for bit, and match a brute-force best response.
+
+    The last trial scales the weights ×50, where coverage values exceed 1
+    and only the kernel's relative tie tolerance keeps tied tuples tied.
+    """
     rng = random.Random(game.graph.n * 7919 + game.graph.m * 31 + game.k)
     vertices = game.graph.sorted_vertices()
     oracle = shared_oracle(game.graph, game.k)
     out: List[Violation] = []
-    for trial in range(3):
-        weights = {v: rng.uniform(0.0, 1.0) for v in vertices}
-        _, kernel_value = oracle.best(weights, method="auto")
+    for trial, scale in enumerate((1.0, 1.0, 1.0, 50.0)):
+        weights = {v: rng.uniform(0.0, 1.0) * scale for v in vertices}
+        exhaustive = oracle.exhaustive(weights)
+        for name, answer in (
+            ("branch_and_bound", oracle.branch_and_bound(weights)),
+            ("auto", oracle.best(weights, method="auto")),
+        ):
+            if answer != exhaustive:
+                out.append(Violation(
+                    "kernel-reference",
+                    f"{name} answered {answer!r}, exhaustive "
+                    f"{exhaustive!r} (trial {trial})",
+                ))
+        kernel_value = exhaustive[1]
         reference = _reference_best(game, weights)
         if not _close(kernel_value, reference, tol):
             out.append(Violation(

@@ -18,25 +18,26 @@ k)`` hundreds of times per solve.
 
 Queries then take only the *changing* attacker weight vector:
 
-* :meth:`CoverageOracle.exhaustive` — exact, depth-first enumeration of
-  ``E^k`` in lexicographic order with incremental gains (no per-tuple set
-  construction);
 * :meth:`CoverageOracle.branch_and_bound` — exact, two-phase: a
   static-weight-ordered bound-and-prune pass establishes the optimal
   *value*, then a lexicographic search with suffix top-``r`` bounds finds
   the canonical (lexicographically smallest) optimal tuple;
+* :meth:`CoverageOracle.exhaustive` — exact, depth-first enumeration of
+  ``E^k`` in lexicographic order with incremental gains; the reference
+  path the branch and bound is tested against;
 * :meth:`CoverageOracle.greedy` — the ``(1 − 1/e)`` approximation,
   iterating the presorted edge list with a visited mask (no per-round
   re-sorting);
 * :meth:`CoverageOracle.best` — the dispatching entry point mirroring
-  :func:`repro.solvers.best_response.best_tuple`;
-* :meth:`CoverageOracle.query_many` — batched queries with an opt-in
-  ``multiprocessing`` fan-out for benchmark-zoo sweeps.
+  :func:`repro.solvers.best_response.best_tuple`; ``auto`` always runs
+  the branch and bound, which is faster than the DFS at every size;
+* :meth:`CoverageOracle.query_many` — a serial batch of queries.
 
 Both exact methods return the **lexicographically smallest** optimal tuple,
-so they agree exactly even on ties (the seed branch and bound did not — its
-``≤ incumbent + ε`` prune could discard an equal-value, lexicographically
-smaller tuple).
+so they agree exactly even on ties, with bit-identical values.  Every value
+comparison goes through one tie rule, :func:`_tie_tol`: a value beats
+another only by more than ``1e-15`` (up to 1) or ``1e-15·|v|`` (above 1),
+so summation noise never breaks a tie at any weight scale.
 
 :func:`shared_oracle` memoizes oracles per ``(graph, k)`` in a bounded
 process-wide cache (graphs are immutable and hashable), which is what lets
@@ -55,20 +56,26 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.core.tuples import EdgeTuple, tuple_vertices
 from repro.graphs.core import Edge, Graph, GraphError, Vertex, tuple_sort_key
-from repro.obs import get_logger, metrics, tracing
+from repro.obs import metrics, tracing
 
 __all__ = ["CoverageOracle", "shared_oracle", "clear_shared_oracles"]
 
-_log = get_logger("repro.kernels.coverage")
-
 _EPS = 1e-15
-"""Value-comparison tolerance, identical to the seed best-response code."""
+"""Tie tolerance for values up to 1, identical to the seed best-response
+code; above 1 it scales with the value (see :func:`_tie_tol`)."""
 
-_AUTO_DFS_LIMIT = 20_000
-"""``auto`` dispatch: exhaustive DFS below this many tuples, bnb above."""
 
-_EXHAUSTIVE_LIMIT = 100_000
-"""Compatibility ceiling mirrored from the seed ``best_tuple`` dispatcher."""
+def _tie_tol(value: float) -> float:
+    """The tie tolerance at ``value``: ``_EPS`` up to 1, ``_EPS·|value|``
+    above.
+
+    The one tie rule of every search here: ``a`` beats the incumbent
+    ``b`` iff ``a > b + _tie_tol(b)``, so the searches keep that sum as a
+    running cutoff.  A fixed ``1e-15`` is below one ulp for values above
+    about 4, where two sums of the same masses in different orders would
+    otherwise break an exact tie.
+    """
+    return _EPS * max(1.0, abs(value))
 
 
 class CoverageOracle:
@@ -188,15 +195,16 @@ class CoverageOracle:
         eu, ev, m, k = self._eu, self._ev, self.m, self.k
         covered = bytearray(self.n)
         chosen: List[int] = []
-        best_value = float("-inf")
+        best_value = cutoff = float("-inf")
         best_slots: Optional[Tuple[int, ...]] = None
 
         def descend(start: int, value: float) -> None:
-            nonlocal best_value, best_slots
+            nonlocal best_value, cutoff, best_slots
             depth = len(chosen)
             if depth == k:
-                if value > best_value + _EPS:
+                if value > cutoff:
                     best_value = value
+                    cutoff = value + _tie_tol(value)
                     best_slots = tuple(chosen)
                 return
             for i in range(start, m - (k - depth) + 1):
@@ -246,15 +254,21 @@ class CoverageOracle:
             slots, exact_value = self._lex_argmax(w, static, order, value)
             return self._slots_to_tuple(slots), exact_value
 
-    def _greedy_value(self, w: List[float]) -> float:
-        """Value of the greedy cover — a fast incumbent for phase 1."""
+    def _greedy_slots(self, w: List[float]) -> Tuple[List[int], float]:
+        """Greedy cover: slots in pick order and their total gain.
+
+        Each round takes the first slot (in lexicographic order) among the
+        maximal marginal gains; phase 1 of the branch and bound uses the
+        value as its initial incumbent.
+        """
         eu, ev, m, k = self._eu, self._ev, self.m, self.k
         covered = bytearray(self.n)
         used = bytearray(m)
+        slots: List[int] = []
         value = 0.0
         for _ in range(k):
             best_slot = -1
-            best_gain = float("-inf")
+            best_gain = cutoff = float("-inf")
             for i in range(m):
                 if used[i]:
                     continue
@@ -265,14 +279,16 @@ class CoverageOracle:
                     gain += w[u]
                 if not covered[v]:
                     gain += w[v]
-                if gain > best_gain + _EPS:
+                if gain > cutoff:
                     best_gain = gain
+                    cutoff = gain + _tie_tol(gain)
                     best_slot = i
             used[best_slot] = 1
             covered[eu[best_slot]] = 1
             covered[ev[best_slot]] = 1
+            slots.append(best_slot)
             value += best_gain
-        return value
+        return slots, value
 
     def _bnb_value(
         self, w: List[float], static: List[float], order: List[int]
@@ -284,19 +300,21 @@ class CoverageOracle:
         prefix = [0.0]
         for i in order:
             prefix.append(prefix[-1] + static[i])
-        best = self._greedy_value(w)
+        best = self._greedy_slots(w)[1]
+        cutoff = best + _tie_tol(best)
         covered = bytearray(self.n)
 
         def descend(index: int, depth: int, value: float) -> None:
-            nonlocal best
+            nonlocal best, cutoff
             if depth == k:
-                if value > best + _EPS:
+                if value > cutoff:
                     best = value
+                    cutoff = value + _tie_tol(value)
                 return
             remaining = k - depth
             if m - index < remaining:
                 return
-            if value + prefix[index + remaining] - prefix[index] <= best + _EPS:
+            if value + prefix[index + remaining] - prefix[index] <= cutoff:
                 return
             u = oe_u[index]
             v = oe_v[index]
@@ -342,8 +360,8 @@ class CoverageOracle:
         order: List[int],
         target: float,
     ) -> Tuple[Tuple[int, ...], float]:
-        """Phase 2: lexicographically first tuple with value ``>= target − ε``."""
-        found = self._lex_greedy(w, static, order, target, _EPS)
+        """Phase 2: lexicographically first tuple that ties with ``target``."""
+        found = self._lex_greedy(w, static, order, target, _tie_tol(target))
         if found is None:
             # Unreachable in exact arithmetic (the phase-1 value is
             # attained by some tuple); guards against pathological
@@ -369,6 +387,12 @@ class CoverageOracle:
         accumulate in increasing slot order, i.e. the exact summation
         order of the exhaustive DFS, so the two exact methods return
         bit-identical values.
+
+        Both bound checks prune with a ``slack`` of ``k`` tie tolerances
+        of the total static mass: a bound summed in another order (or as
+        a difference of prefix sums) is off by up to ``k`` rounding
+        errors at that magnitude, and pruning on it without slack drops
+        feasible completions — ties that the DFS keeps.
         """
         eu, ev, m, k = self._eu, self._ev, self.m, self.k
         sums = self._suffix_top_sums(static)
@@ -376,6 +400,7 @@ class CoverageOracle:
         chosen: List[int] = []
         value = 0.0
         threshold = target - margin
+        slack = k * _tie_tol(sum(static))
         start = 0
         for depth in range(k):
             r = k - depth
@@ -390,13 +415,13 @@ class CoverageOracle:
                     gain += w[v]
                 acc = sums[i + 1]
                 bound = acc[r - 1] if r - 1 < len(acc) else acc[-1]
-                if value + gain + bound < threshold:
+                if value + gain + bound + slack < threshold:
                     continue
                 covered[u] += 1
                 covered[v] += 1
                 if self._probe(
                     w, static, order, i + 1, r - 1,
-                    threshold - value - gain, covered,
+                    threshold - value - gain, slack, covered,
                 ):
                     chosen.append(i)
                     value += gain
@@ -417,14 +442,16 @@ class CoverageOracle:
         min_slot: int,
         need: int,
         deficit: float,
+        slack: float,
         covered: bytearray,
     ) -> bool:
         """Can ``need`` unused slots ``>= min_slot`` add mass ``>= deficit``?
 
         Explores candidates in descending static-weight order with a
-        prefix-sum admissible bound and exits on the first success — a
-        pure decision search, so refuting an infeasible lex candidate is
-        as fast as the phase-1 value search.
+        prefix-sum admissible bound (loosened by ``slack`` against
+        rounding) and exits on the first success — a pure decision
+        search, so refuting an infeasible lex candidate is as fast as the
+        phase-1 value search.
         """
         if deficit <= 0.0:
             return True  # weights are non-negative: any completion works
@@ -444,7 +471,7 @@ class CoverageOracle:
                 return total - pos >= need
             if need == 0 or total - pos < need:
                 return False
-            if prefix[pos + need] - prefix[pos] < deficit:
+            if prefix[pos + need] - prefix[pos] + slack < deficit:
                 return False
             i = slots[pos]
             u = eu[i]
@@ -478,33 +505,7 @@ class CoverageOracle:
         """
         with metrics.timer("perf.kernel.query.seconds"):
             metrics.counter("perf.kernel.query.greedy.count").inc()
-            w = self._weight_array(weights)
-            eu, ev, m, k = self._eu, self._ev, self.m, self.k
-            covered = bytearray(self.n)
-            used = bytearray(m)
-            slots: List[int] = []
-            value = 0.0
-            for _ in range(k):
-                best_slot = -1
-                best_gain = float("-inf")
-                for i in range(m):
-                    if used[i]:
-                        continue
-                    u = eu[i]
-                    v = ev[i]
-                    gain = 0.0
-                    if not covered[u]:
-                        gain += w[u]
-                    if not covered[v]:
-                        gain += w[v]
-                    if gain > best_gain + _EPS:
-                        best_gain = gain
-                        best_slot = i
-                used[best_slot] = 1
-                covered[eu[best_slot]] = 1
-                covered[ev[best_slot]] = 1
-                slots.append(best_slot)
-                value += best_gain
+            slots, value = self._greedy_slots(self._weight_array(weights))
             slots.sort()
             return self._slots_to_tuple(slots), value
 
@@ -512,71 +513,43 @@ class CoverageOracle:
     # dispatch + batching
     # ------------------------------------------------------------------
     def best(
-        self,
-        weights: Mapping[Vertex, float],
-        method: str = "auto",
-        exhaustive_limit: int = _EXHAUSTIVE_LIMIT,
+        self, weights: Mapping[Vertex, float], method: str = "auto"
     ) -> Tuple[EdgeTuple, float]:
         """Best ``k``-edge coverage against ``weights``.
 
         ``method`` is one of ``"auto"``, ``"exhaustive"``, ``"bnb"`` or
         ``"greedy"`` — the contract of
-        :func:`repro.solvers.best_response.best_tuple`.  Since both exact
-        strategies return the canonical optimal tuple, ``auto`` is free
-        to pick whichever is faster: exhaustive DFS for small ``C(m,
-        k)``, branch and bound beyond.
+        :func:`repro.solvers.best_response.best_tuple`.  ``auto`` always
+        runs the branch and bound: it returns the same canonical tuple
+        and value as the exhaustive DFS and, measured on the benchmark
+        inputs, is faster at every ``C(m, k)``; ``"exhaustive"`` keeps
+        the DFS as the explicit reference path.
         """
         metrics.counter("perf.kernel.query.count").inc()
+        if method in ("auto", "bnb"):
+            return self.branch_and_bound(weights)
         if method == "exhaustive":
             return self.exhaustive(weights)
-        if method == "bnb":
-            return self.branch_and_bound(weights)
         if method == "greedy":
             return self.greedy(weights)
-        if method != "auto":
-            raise ValueError(f"unknown method {method!r}")
-        if self.tuple_count <= min(exhaustive_limit, _AUTO_DFS_LIMIT):
-            return self.exhaustive(weights)
-        return self.branch_and_bound(weights)
+        raise ValueError(f"unknown method {method!r}")
 
     def query_many(
         self,
         weight_vectors: Iterable[Mapping[Vertex, float]],
         method: str = "auto",
-        processes: Optional[int] = None,
     ) -> List[Tuple[EdgeTuple, float]]:
-        """Answer a batch of weight vectors, optionally in parallel.
+        """Answer a batch of weight vectors with :meth:`best`, in input order.
 
-        With ``processes`` unset (or ``<= 1``) the batch runs serially in
-        this process.  With ``processes > 1`` the work fans out over a
-        ``multiprocessing`` pool — each worker rebuilds the oracle once
-        from the pickled graph structure, so the fan-out pays off for the
-        long sweeps of the benchmark zoo and
-        :func:`repro.analysis.schedule.best_response_schedule`, not for
-        single queries.  Results are returned in input order either way,
-        and any pool failure (platforms without fork/spawn support)
-        degrades to the serial path with a logged warning.
+        The batch runs serially in this process: one oracle serves the
+        whole sweep, and the branch and bound answers a query faster than
+        a worker pool can ship it.
         """
-        vectors = [dict(wv) for wv in weight_vectors]
+        vectors = list(weight_vectors)
         metrics.counter("perf.kernel.batch.count").inc()
         metrics.counter("perf.kernel.batch.queries.count").inc(len(vectors))
         with tracing.span("kernel.query_many", queries=len(vectors),
-                          method=method, processes=processes or 1):
-            if processes is not None and processes > 1 and len(vectors) > 1:
-                from repro.kernels import batch as _batch
-
-                try:
-                    results = _batch.query_many_parallel(
-                        self, vectors, method, processes
-                    )
-                    metrics.counter("perf.kernel.batch.parallel.count").inc()
-                    return results
-                except Exception as exc:  # pragma: no cover - platform dependent
-                    _log.warning(
-                        "kernel.batch.parallel_failed",
-                        error=repr(exc), fallback="serial",
-                    )
-                    metrics.counter("perf.kernel.batch.fallback.count").inc()
+                          method=method):
             return [self.best(wv, method=method) for wv in vectors]
 
     # ------------------------------------------------------------------

@@ -24,6 +24,7 @@ Two pieces of machinery:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 from repro.core.game import GameError
@@ -42,6 +43,11 @@ __all__ = [
 def _validate_distribution(dist: Dict, kind: str, tol: float = 1e-9) -> None:
     if not dist:
         raise GameError(f"{kind} distribution has empty support")
+    # NaN compares false to everything, so it would slip past the sign
+    # and sum checks below and turn every regret into NaN.
+    bad = [s for s, p in dist.items() if not math.isfinite(p)]
+    if bad:
+        raise GameError(f"{kind} distribution has non-finite probabilities: {bad!r}")
     if any(p < 0 for p in dist.values()):
         raise GameError(f"{kind} distribution has negative probabilities")
     total = sum(dist.values())
@@ -84,8 +90,9 @@ def verify_generalized_nash(
     """
     _validate_distribution(attacker, "attacker")
     _validate_distribution(defender, "defender")
+    family = set(game.strategies)
     for strategy in defender:
-        if strategy not in set(game.strategies):
+        if strategy not in family:
             raise GameError(f"defender strategy {strategy!r} is not in the family")
     for v in attacker:
         if not game.graph.has_vertex(v):

@@ -14,8 +14,8 @@ actual optimum.  Three strategies are provided:
 * :func:`greedy_tuple` — the classical ``(1 − 1/e)``-approximation, for
   instances where exact search is hopeless.
 
-:func:`best_tuple` dispatches between the exact methods by strategy-set
-size.
+:func:`best_tuple` is the dispatching entry point; its ``auto`` method
+always runs the branch and bound.
 
 This module is a thin compatibility facade: the actual search runs on the
 amortized :class:`~repro.kernels.coverage.CoverageOracle` (one precompute
@@ -41,9 +41,6 @@ __all__ = [
     "greedy_tuple",
     "best_tuple",
 ]
-
-_EXHAUSTIVE_LIMIT = 100_000
-"""Default maximum number of tuples the auto dispatcher will enumerate."""
 
 
 def coverage_value(weights: Mapping[Vertex, float], t: EdgeTuple) -> float:
@@ -103,17 +100,16 @@ def best_tuple(
     weights: Mapping[Vertex, float],
     k: int,
     method: str = "auto",
-    exhaustive_limit: int = _EXHAUSTIVE_LIMIT,
 ) -> Tuple[EdgeTuple, float]:
     """Exact defender best response against attacker masses ``weights``.
 
-    ``method`` is one of ``"auto"`` (enumerate when ``C(m,k)`` is small,
-    branch-and-bound otherwise), ``"exhaustive"``, ``"bnb"`` or
-    ``"greedy"`` (the only inexact choice).
+    ``method`` is one of ``"auto"`` (branch and bound, the fastest exact
+    search at every size), ``"exhaustive"`` (the DFS reference path),
+    ``"bnb"`` or ``"greedy"`` (the only inexact choice).  Both exact
+    searches return the lexicographically smallest optimal tuple and the
+    same value, bit for bit.
     """
     _check_k(graph, k)
     metrics.counter("best_response.calls.count").inc()
     metrics.counter(f"best_response.method.{method}.count").inc()
-    return shared_oracle(graph, k).best(
-        weights, method=method, exhaustive_limit=exhaustive_limit
-    )
+    return shared_oracle(graph, k).best(weights, method=method)

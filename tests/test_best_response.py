@@ -12,6 +12,7 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
+from repro.obs import metrics
 from repro.solvers.best_response import (
     best_tuple,
     branch_and_bound_best_tuple,
@@ -133,12 +134,15 @@ class TestDispatch:
         assert result_auto == result_ex
 
     def test_auto_switches_to_bnb(self):
+        # auto runs the branch and bound even when C(m, k) is tiny.
         g = complete_bipartite_graph(4, 5)
         weights = {v: 1.0 for v in g.vertices()}
-        # Force the switch by setting the enumeration budget to 1.
-        t, value = best_tuple(g, weights, 3, method="auto", exhaustive_limit=1)
-        _, reference = exhaustive_best_tuple(g, weights, 3)
-        assert value == pytest.approx(reference)
+        exhaustive_runs = metrics.counter("perf.kernel.query.exhaustive.count")
+        before = exhaustive_runs.value
+        result = best_tuple(g, weights, 3, method="auto")
+        assert exhaustive_runs.value == before
+        assert result == branch_and_bound_best_tuple(g, weights, 3)
+        assert result == exhaustive_best_tuple(g, weights, 3)
 
     def test_explicit_methods(self):
         g = path_graph(5)

@@ -10,6 +10,7 @@ from repro.graphs.generators import (
     petersen_graph,
 )
 from repro.matching.covers import minimum_edge_cover_size
+from repro.obs import metrics
 from repro.solvers.fictitious_play import fictitious_play
 from repro.solvers.lp import solve_minimax
 
@@ -77,6 +78,13 @@ class TestMechanics:
     def test_repr(self):
         game = TupleGame(path_graph(4), 1, nu=1)
         assert "value≈" in repr(fictitious_play(game, rounds=20))
+
+    def test_small_game_never_runs_the_dfs(self):
+        # auto sends every best-response query to the branch and bound.
+        exhaustive_runs = metrics.counter("perf.kernel.query.exhaustive.count")
+        before = exhaustive_runs.value
+        fictitious_play(TupleGame(petersen_graph(), 2, nu=1), rounds=30)
+        assert exhaustive_runs.value == before
 
 
 class TestDegenerateParameters:

@@ -8,10 +8,14 @@ drift in the optimized searches is caught against first-principles code.
 Weights in the identity sweeps are dyadic rationals (multiples of 1/64):
 their coverage sums are exact in binary floating point, so mathematically
 tied tuples compare exactly equal and the deterministic tie-break is
-observable without summation-order noise.
+observable without summation-order noise.  The tie-contract sweep then
+uses non-dyadic weights at several scales, where tied tuples differ by
+summation noise and only the kernel's one tie rule keeps the searches in
+agreement.
 """
 
 import inspect
+import math
 import random
 from itertools import combinations
 from pathlib import Path
@@ -25,6 +29,9 @@ from repro.graphs.generators import (
     cycle_graph,
     gnp_random_graph,
     path_graph,
+    petersen_graph,
+    random_bipartite_graph,
+    random_tree,
 )
 from repro.kernels import CoverageOracle, clear_shared_oracles, shared_oracle
 
@@ -148,6 +155,85 @@ class TestExactMethodsAgreeOnTies:
         assert t_bnb == t_exh
 
 
+def tie_tolerance(value):
+    """The kernel's tie rule: 1e-15 up to 1, 1e-15·|value| above."""
+    return 1e-15 * max(1.0, abs(value))
+
+
+def reference_tie_rule(graph, weights, k):
+    """Lexicographically first tuple within tolerance of the exact
+    (``math.fsum``) maximum coverage."""
+    scored = [
+        (combo, math.fsum(weights.get(v, 0.0) for v in tuple_vertices(combo)))
+        for combo in combinations(graph.sorted_edges(), k)
+    ]
+    top = max(value for _, value in scored)
+    return next(
+        combo for combo, value in scored if value >= top - tie_tolerance(top)
+    )
+
+
+TIE_GRAPHS = {
+    "gnp": lambda rng: gnp_random_graph(
+        rng.randrange(6, 10), 0.45, seed=rng.randrange(1000)
+    ),
+    "bipartite": lambda rng: random_bipartite_graph(
+        rng.randrange(2, 5), rng.randrange(3, 7), 0.5, seed=rng.randrange(1000)
+    ),
+    "tree": lambda rng: random_tree(rng.randrange(6, 13), seed=rng.randrange(1000)),
+    "petersen": lambda rng: petersen_graph(),
+    "k2n": lambda rng: complete_bipartite_graph(2, rng.randrange(3, 13)),
+}
+
+
+class TestTieContract:
+    """``exhaustive``, ``branch_and_bound`` and ``best(auto)`` return the
+    same tuple and a bit-identical value under non-dyadic weights.
+
+    Every vertex draws its mass from a small palette of tenths, so many
+    tuples tie mathematically while their float sums differ by a few
+    ulps; the scales push values far above 1, where an absolute
+    tolerance is below one ulp.  24 seeds × 3 values of ``k`` × 5 graph
+    families × 3 scales = 1,080 queries.
+    """
+
+    @pytest.mark.parametrize("scale", [1.0, 7.0, 50.0])
+    @pytest.mark.parametrize("family", sorted(TIE_GRAPHS))
+    def test_exact_searches_agree_on_non_dyadic_ties(self, family, scale):
+        for seed in range(24):
+            rng = random.Random(f"{family}-{scale}-{seed}")
+            graph = TIE_GRAPHS[family](rng)
+            palette = [0.0] + [rng.randrange(1, 40) / 10 for _ in range(3)]
+            weights = {
+                v: rng.choice(palette) * scale for v in graph.sorted_vertices()
+            }
+            for k in (1, 2, 3):
+                oracle = CoverageOracle(graph, k)
+                exh = oracle.exhaustive(weights)
+                bnb = oracle.branch_and_bound(weights)
+                auto = oracle.best(weights)
+                where = (family, scale, seed, k)
+                assert exh[0] == bnb[0] == auto[0], where
+                assert exh[1].hex() == bnb[1].hex() == auto[1].hex(), where
+                assert exh[0] == reference_tie_rule(graph, weights, k), where
+
+    @pytest.mark.parametrize("leaf", [1.0, 1.1])
+    @pytest.mark.parametrize("hub", [0.01, 0.2, 0.3])
+    @pytest.mark.parametrize("leaves", [24, 31, 40])
+    def test_k2_n_hub_ties(self, leaves, hub, leaf):
+        # Every hub-hub-leaf-leaf pair ties at exactly 2·(hub + leaf).  On
+        # K2,40 with hubs 0.01 and leaves 1.0 the DFS kept ((0,2),(1,3))
+        # while the branch and bound's prefix-sum bound rounded below the
+        # deficit, pruned it and returned ((0,11),(1,2)).
+        graph = complete_bipartite_graph(2, leaves)
+        weights = {v: hub if v < 2 else leaf for v in graph.vertices()}
+        oracle = CoverageOracle(graph, 2)
+        expected = (((0, 2), (1, 3)), 2 * (hub + leaf))
+        assert oracle.exhaustive(weights) == expected
+        assert oracle.branch_and_bound(weights) == expected
+        assert oracle.best(weights) == expected
+
+
 # --------------------------------------------------------------------------
 # batching
 # --------------------------------------------------------------------------
@@ -167,16 +253,6 @@ class TestQueryMany:
         vectors = self._vectors(graph)
         batched = oracle.query_many(vectors)
         assert batched == [oracle.best(wv) for wv in vectors]
-
-    def test_parallel_matches_serial(self):
-        graph = complete_bipartite_graph(3, 4)
-        oracle = CoverageOracle(graph, 2)
-        vectors = self._vectors(graph)
-        serial = oracle.query_many(vectors, processes=1)
-        # Falls back to the serial path on platforms without working
-        # multiprocessing — either way the answers must be identical.
-        parallel = oracle.query_many(vectors, processes=2)
-        assert parallel == serial
 
     def test_empty_batch(self):
         oracle = CoverageOracle(path_graph(4), 1)
@@ -255,14 +331,15 @@ class TestCoverageViews:
 
 class TestFacadeContract:
     """The best_response facade must keep the seed public surface: every
-    export documented in docs/api.md, signatures unchanged."""
+    export documented in docs/api.md, signatures pinned (``best_tuple``
+    dropped only ``exhaustive_limit``, which ``auto`` no longer reads)."""
 
     EXPECTED_SIGNATURES = {
         "coverage_value": "(weights, t)",
         "exhaustive_best_tuple": "(graph, weights, k)",
         "branch_and_bound_best_tuple": "(graph, weights, k)",
         "greedy_tuple": "(graph, weights, k)",
-        "best_tuple": "(graph, weights, k, method='auto', exhaustive_limit=100000)",
+        "best_tuple": "(graph, weights, k, method='auto')",
     }
 
     def test_signatures_unchanged(self):

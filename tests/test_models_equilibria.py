@@ -114,6 +114,15 @@ class TestVerifyGeneralizedNash:
                 cycle_game, attacker, {(((0, 1)), ((2, 3)), ((4, 5))): 1.0}
             )
 
+    def test_rejects_nan_probabilities(self, cycle_game):
+        attacker, defender = uniform_family_equilibrium(cycle_game)
+        nan_attacker = {**attacker, 0: float("nan")}
+        with pytest.raises(GameError, match="attacker distribution has non-finite"):
+            verify_generalized_nash(cycle_game, nan_attacker, defender)
+        nan_defender = {**defender, cycle_game.strategies[0]: float("nan")}
+        with pytest.raises(GameError, match="defender distribution has non-finite"):
+            verify_generalized_nash(cycle_game, attacker, nan_defender)
+
     def test_rejects_foreign_vertex(self, cycle_game):
         _, defender = uniform_family_equilibrium(cycle_game)
         with pytest.raises(GameError, match="not in the graph"):

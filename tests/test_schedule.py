@@ -2,7 +2,10 @@
 
 import pytest
 
+import random
+
 from repro.analysis.schedule import (
+    best_response_schedule,
     compile_roster,
     roster_discrepancy,
     roster_frequencies,
@@ -11,6 +14,7 @@ from repro.core.configuration import MixedConfiguration
 from repro.core.game import GameError, TupleGame
 from repro.equilibria.solve import solve_game
 from repro.graphs.generators import complete_bipartite_graph, grid_graph, path_graph
+from repro.solvers.best_response import best_tuple
 
 
 @pytest.fixture
@@ -59,6 +63,26 @@ class TestCompileRoster:
     def test_deterministic(self, equilibrium):
         game, config = equilibrium
         assert compile_roster(config, 20) == compile_roster(config, 20)
+
+
+class TestBestResponseSchedule:
+    def test_equals_one_best_tuple_call_per_profile(self):
+        graph = grid_graph(3, 3)
+        rng = random.Random(11)
+        profiles = [
+            {v: rng.randrange(1, 30) / 10 for v in graph.vertices()}
+            for _ in range(5)
+        ]
+        for method in ("auto", "exhaustive", "greedy"):
+            schedule = best_response_schedule(graph, 2, profiles, method=method)
+            assert schedule == [
+                best_tuple(graph, profile, 2, method=method)
+                for profile in profiles
+            ]
+
+    def test_empty_sweep_raises(self):
+        with pytest.raises(GameError, match="at least one profile"):
+            best_response_schedule(grid_graph(3, 3), 2, [])
 
 
 class TestDiscrepancy:

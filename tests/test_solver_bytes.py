@@ -3,7 +3,8 @@
 Each case solves a seeded game and compares the canonical JSON of the
 result with the file committed under ``tests/fixtures/solver_bytes/``.
 Cache keys and ledger fingerprints are derived from these bytes, so a
-refactor of the LP or double-oracle code must reproduce them exactly.
+refactor of the LP, double-oracle, fictitious-play or coverage-kernel code
+must reproduce them exactly.
 
 Regenerate the fixtures (only when a change of result is intended) with::
 
@@ -33,6 +34,10 @@ from repro.solvers.double_oracle import (
     double_oracle,
     double_oracle_result_to_json,
 )
+from repro.solvers.fictitious_play import (
+    fictitious_play,
+    fictitious_play_result_to_json,
+)
 from repro.solvers.lp import lp_equilibrium
 from repro.weighted.game import (
     weighted_lp_equilibrium,
@@ -53,8 +58,8 @@ SMALL_GAMES: Dict[str, Callable[[], TupleGame]] = {
 }
 
 #: A game shaped like the benchmark's double-oracle inputs: C(m, k) is
-#: far above the exhaustive-search limit, so the oracle runs branch and
-#: bound and only the double-oracle paths can solve it.
+#: far too large for the full LP, so only the double-oracle and
+#: fictitious-play paths solve it.
 LARGE_GAMES: Dict[str, Callable[[], TupleGame]] = {
     "do-bipartite": lambda: TupleGame(
         random_bipartite_graph(16, 19, 0.13, seed=7), 4
@@ -93,6 +98,9 @@ def _cases() -> Dict[str, Callable[[], str]]:
                 lambda make=make, kwargs=kwargs:
                 double_oracle_result_to_json(double_oracle(make(), **kwargs))
             )
+        cases[f"fp.{name}"] = lambda make=make: (
+            fictitious_play_result_to_json(fictitious_play(make(), rounds=30))
+        )
     for name, make in SMALL_GAMES.items():
         cases[f"lp.{name}"] = lambda make=make: _lp_json(make())
         cases[f"solve.{name}"] = lambda make=make: _solve_json(make())
