@@ -6,7 +6,8 @@ A cache entry is addressed by the triple
 
 hashed into a single hex key.  Every component is content-derived:
 
-* the **game fingerprint** is the sha256 of the canonical
+* the **game fingerprint** is :func:`game_sha256` (re-exported from
+  :mod:`repro.obs.ledger`), the sha256 of the canonical
   :func:`repro.core.serialize.game_to_json` document — the same hash the
   provenance ledger records, so ledger records and cache entries for one
   game carry one identity.  Weighted games serialize their weight
@@ -28,20 +29,9 @@ import hashlib
 from typing import Any, Dict
 
 from repro.obs import metrics
-from repro.obs.ledger import canonical_json
+from repro.obs.ledger import canonical_json, game_sha256
 
 __all__ = ["game_sha256", "params_json", "cache_key"]
-
-
-def game_sha256(game: Any) -> str:
-    """The content fingerprint of a plain or weighted game.
-
-    Identical (by construction) to the ``sha256`` field of
-    :func:`repro.obs.ledger.fingerprint_game`.
-    """
-    from repro.core.serialize import game_to_json
-
-    return hashlib.sha256(game_to_json(game).encode("utf-8")).hexdigest()
 
 
 def params_json(params: Dict[str, Any]) -> str:

@@ -11,27 +11,37 @@ Vertices must be JSON-representable (ints or strings — the same types the
 graph I/O layer produces).  Probabilities round-trip as floats; documents
 are key-sorted and therefore byte-deterministic for a given profile.  The
 payload is a mixed configuration of the Definition 2.1 model plus the
-equilibrium kind assigned by the Theorem 4.5 solve cascade.
+equilibrium kind assigned by the Theorem 4.5 solve cascade.  Every
+format-tagged document of the library is written by
+:func:`write_document` and read by :func:`read_document`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.core.configuration import MixedConfiguration
 from repro.core.game import GameError, TupleGame
 from repro.graphs.core import Graph, tuple_sort_key, vertex_sort_key
 
 __all__ = [
+    "write_document",
+    "read_document",
+    "check_document",
     "game_to_json",
     "game_from_json",
+    "CONFIGURATION_FORMAT",
+    "configuration_payload",
     "configuration_to_json",
+    "configuration_from_payload",
+    "configuration_document",
     "configuration_from_json",
     "solve_result_to_json",
 ]
 
-_FORMAT = "repro.mixed-configuration.v1"
+#: Tag of the mixed-configuration document (and of the solve result).
+CONFIGURATION_FORMAT = "repro.mixed-configuration.v1"
 
 #: ``model`` discriminator value for weighted games.  Plain games carry
 #: no ``model`` key at all — their payload (and therefore their
@@ -126,11 +136,61 @@ def game_from_json(text: str) -> Any:
     return _game_from_payload(payload)
 
 
-def configuration_to_json(config: MixedConfiguration) -> str:
-    """Serialize a mixed configuration (with its game) to JSON."""
+def write_document(fmt: str, payload: Mapping[str, Any],
+                   indent: Optional[int] = None) -> str:
+    """The one writer of format-tagged documents.
+
+    Emits ``payload`` plus its ``format`` tag, key-sorted; compact unless
+    ``indent`` is given."""
+    document = {**payload, "format": fmt}
+    if indent is None:
+        return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return json.dumps(document, indent=indent, sort_keys=True)
+
+
+def read_document(text: str, fmt: str, label: str,
+                  decode: Optional[Callable[[Dict[str, Any]], Any]] = None,
+                  json_label: Optional[str] = None) -> Any:
+    """The one reader of format-tagged documents.
+
+    Parses ``text``, then :func:`check_document`.  Non-JSON raises
+    ``invalid <label> document`` (``json_label``, when given, replaces
+    ``label`` in that message)."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GameError(
+            f"invalid {json_label or label} document: {exc}"
+        ) from exc
+    return check_document(payload, fmt, label, decode)
+
+
+def check_document(payload: Any, fmt: str, label: str,
+                   decode: Optional[Callable[[Dict[str, Any]], Any]] = None
+                   ) -> Any:
+    """Check a parsed or nested document's tag, then decode it.
+
+    Returns ``decode(payload)``, or the payload without ``decode``.
+    Raises :class:`~repro.core.game.GameError`: ``unrecognized <label>
+    format`` unless ``payload`` is an object tagged ``fmt``, and
+    ``malformed <label> payload`` for a ``KeyError``, ``TypeError`` or
+    ``ValueError`` out of ``decode``.
+    """
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise GameError(f"unrecognized {label} format (expected {fmt!r})")
+    if decode is None:
+        return payload
+    try:
+        return decode(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GameError(f"malformed {label} payload: {exc}") from exc
+
+
+def configuration_payload(config: MixedConfiguration) -> Dict[str, Any]:
+    """The tagged mixed-configuration payload, for nesting in documents."""
     game = config.game
-    payload = {
-        "format": _FORMAT,
+    return {
+        "format": CONFIGURATION_FORMAT,
         "game": _game_payload(game),
         "vertex_players": [
             sorted(
@@ -147,24 +207,21 @@ def configuration_to_json(config: MixedConfiguration) -> str:
             )
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def configuration_from_json(text: str) -> MixedConfiguration:
-    """Parse and fully re-validate a serialized mixed configuration.
+def configuration_to_json(config: MixedConfiguration) -> str:
+    """Serialize a mixed configuration (with its game) to JSON."""
+    return write_document(CONFIGURATION_FORMAT, configuration_payload(config),
+                          indent=2)
 
-    Raises :class:`~repro.core.game.GameError` on any structural defect:
-    wrong format tag, missing keys, probabilities that do not sum to one,
-    strategies outside the game.
+
+def configuration_from_payload(payload: Any) -> MixedConfiguration:
+    """Rebuild a mixed configuration from its (nested) payload dict.
+
+    The inverse of :func:`configuration_payload`, with every check of
+    :func:`configuration_from_json`.
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameError(f"invalid JSON configuration document: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
-        raise GameError(
-            f"unrecognized configuration format (expected {_FORMAT!r})"
-        )
+    check_document(payload, CONFIGURATION_FORMAT, "configuration")
     for key in ("game", "vertex_players", "tuple_player"):
         if key not in payload:
             raise GameError(f"configuration document is missing {key!r}")
@@ -189,11 +246,27 @@ def configuration_from_json(text: str) -> MixedConfiguration:
     return MixedConfiguration(game, vp_dists, tp_dist)
 
 
+def configuration_document(text: str) -> Dict[str, Any]:
+    """Parse a mixed-configuration or solve-result document to its payload."""
+    return read_document(text, CONFIGURATION_FORMAT, "configuration",
+                         json_label="JSON configuration")
+
+
+def configuration_from_json(text: str) -> MixedConfiguration:
+    """Parse and fully re-validate a serialized mixed configuration.
+
+    Raises :class:`~repro.core.game.GameError` on any structural defect:
+    wrong format tag, missing keys, probabilities that do not sum to one,
+    strategies outside the game.
+    """
+    return configuration_from_payload(configuration_document(text))
+
+
 def solve_result_to_json(result: Any) -> str:
     """Serialize a :class:`~repro.equilibria.solve.SolveResult` with its
     equilibrium, kind and gain (one self-contained deployment document)."""
-    inner = json.loads(configuration_to_json(result.mixed))
-    inner["solve"] = {
+    payload = configuration_payload(result.mixed)
+    payload["solve"] = {
         "kind": result.kind,
         "defender_gain": result.defender_gain,
         "partition": (
@@ -205,4 +278,4 @@ def solve_result_to_json(result: Any) -> str:
             }
         ),
     }
-    return json.dumps(inner, indent=2, sort_keys=True)
+    return write_document(CONFIGURATION_FORMAT, payload, indent=2)

@@ -25,8 +25,7 @@ gain.
 
 from __future__ import annotations
 
-import json
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import repro.cache as result_cache
 from repro.core.configuration import MixedConfiguration, PureConfiguration
@@ -34,7 +33,10 @@ from repro.core.game import GameError, TupleGame
 from repro.core.profits import expected_profit_tp, pure_profit_tp
 from repro.core.pure import find_pure_nash
 from repro.core.serialize import (
-    configuration_from_json,
+    CONFIGURATION_FORMAT,
+    check_document,
+    configuration_document,
+    configuration_from_payload,
     solve_result_to_json,
 )
 from repro.equilibria.atuple import algorithm_a_tuple
@@ -165,7 +167,7 @@ def solve_result_from_json(text: str) -> SolveResult:
     """Parse a :func:`repro.core.serialize.solve_result_to_json` document.
 
     The replay half of the result cache: the equilibrium profile is
-    rebuilt through :func:`~repro.core.serialize.configuration_from_json`
+    rebuilt through :func:`~repro.core.serialize.configuration_from_payload`
     (which fully re-validates it, weighted games included) and the
     recorded ``kind`` / ``defender_gain`` / ``partition`` are restored
     verbatim, so re-serializing the result reproduces the document
@@ -176,10 +178,11 @@ def solve_result_from_json(text: str) -> SolveResult:
     Raises :class:`~repro.core.game.GameError` on malformed documents.
     """
     with metrics.timer("cache.decode.seconds"):
-        mixed = configuration_from_json(text)
-        try:
-            payload = json.loads(text)
-            solve = payload["solve"]
+        payload = configuration_document(text)
+        mixed = configuration_from_payload(payload)
+
+        def replayed(document: Dict[str, Any]) -> SolveResult:
+            solve = document["solve"]
             kind = str(solve["kind"])
             defender_gain = float(solve["defender_gain"])
             partition: Optional[Partition] = None
@@ -188,12 +191,11 @@ def solve_result_from_json(text: str) -> SolveResult:
                     frozenset(solve["partition"]["independent_set"]),
                     frozenset(solve["partition"]["vertex_cover"]),
                 )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GameError(
-                f"malformed solve-result payload: {exc}"
-            ) from exc
-        return SolveResult(kind, mixed, None, partition,
-                           defender_gain=defender_gain)
+            return SolveResult(kind, mixed, None, partition,
+                               defender_gain=defender_gain)
+
+        return check_document(payload, CONFIGURATION_FORMAT, "solve-result",
+                              replayed)
 
 
 def _solve_game_impl(

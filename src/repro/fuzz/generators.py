@@ -26,6 +26,7 @@ import random
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.core.game import GameError, TupleGame
+from repro.core.serialize import check_document
 from repro.core.tuples import count_tuples
 from repro.graphs.core import (
     Graph,
@@ -131,11 +132,7 @@ class GameSpec:
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "GameSpec":
         """Rebuild a spec from :meth:`to_payload` output (strict)."""
-        if not isinstance(payload, dict) or payload.get("format") != SPEC_FORMAT:
-            raise GameError(
-                f"unrecognized fuzz-case format (expected {SPEC_FORMAT!r})"
-            )
-        try:
+        def decode(payload: Dict[str, Any]) -> "GameSpec":
             edges = [tuple(e) for e in payload["edges"]]
             for e in edges:
                 if len(e) != 2:
@@ -148,8 +145,7 @@ class GameSpec:
                 label_mode=payload.get("label_mode", "int"),
                 seed=int(payload.get("seed", 0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GameError(f"malformed fuzz-case payload: {exc}") from exc
+        return check_document(payload, SPEC_FORMAT, "fuzz-case", decode)
 
     def describe(self) -> str:
         g = Graph(self.edges)

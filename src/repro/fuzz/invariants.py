@@ -35,11 +35,11 @@ one broken game never hides the rest.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.cache.keys import game_sha256
 from repro.core.characterization import is_mixed_nash
 from repro.core.game import TupleGame
 from repro.core.pure import pure_nash_exists
@@ -236,11 +236,6 @@ def check_serialize_roundtrip(game: TupleGame, tol: float) -> List[Violation]:
     return out
 
 
-def _game_sha256(text: str) -> str:
-    """The ledger/cache content fingerprint of a ``game_to_json`` text."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _weighted_lift(game: TupleGame) -> WeightedTupleGame:
     """The fuzzed game with weights derived from the sorted vertex order."""
     vertices = game.graph.sorted_vertices()
@@ -290,7 +285,7 @@ def check_weighted_serialize_roundtrip(
     bumped = dict(weighted.weights)
     bumped[first] = weighted.weights[first] + 0.5
     other = WeightedTupleGame(game.graph, game.k, bumped, nu=game.nu)
-    if _game_sha256(text) == _game_sha256(game_to_json(other)):
+    if game_sha256(weighted) == game_sha256(other):
         out.append(Violation(
             "weighted-serialize-roundtrip",
             "games differing only in one weight share a sha256 "

@@ -64,6 +64,7 @@ __all__ = [
     "canonical_json",
     "canonical_sha256",
     "fingerprint_game",
+    "game_sha256",
     "capture_environment",
     "read_runs",
     "find_run",
@@ -180,6 +181,20 @@ def canonical_sha256(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+def game_sha256(game: Any) -> str:
+    """The one content hash of a plain or weighted game.
+
+    The sha256 of its canonical :func:`repro.core.serialize.game_to_json`
+    document, shared by ledger fingerprints, cache keys and the fuzz
+    invariants."""
+    # Deliberate layering inversion (obs -> core), deferred to call time:
+    # the ledger is layer 0 so every solver may import it, and only runs
+    # that actually hash a game pay for the serialization machinery.
+    from repro.core.serialize import game_to_json
+
+    return hashlib.sha256(game_to_json(game).encode("utf-8")).hexdigest()
+
+
 def fingerprint_game(game) -> Dict[str, Any]:
     """Content fingerprint of a plain or weighted tuple game.
 
@@ -189,18 +204,13 @@ def fingerprint_game(game) -> Dict[str, Any]:
     differ only in their vertex weights fingerprint *differently* (the
     serialization carries the weight vector).
     """
-    # Deliberate layering inversion (obs -> core), deferred to call time:
-    # the ledger is layer 0 so every solver may import it, and only runs
-    # that actually record pay for the serialization machinery.
-    from repro.core.serialize import game_to_json
-
     return {
         "kind": (
             "weighted-tuple-game"
             if getattr(game, "weights", None) is not None
             else "tuple-game"
         ),
-        "sha256": hashlib.sha256(game_to_json(game).encode("utf-8")).hexdigest(),
+        "sha256": game_sha256(game),
         "n": game.graph.n,
         "m": game.graph.m,
         "k": game.k,

@@ -10,9 +10,10 @@ The request lifecycle is deliberately ordered:
 1. **validate** (:func:`repro.serve.schemas.parse_request`) — nothing
    invalid ever reaches a worker, mints a cache key or writes a ledger
    record;
-2. **probe** the result cache with *exactly* the parameter dictionary
-   the in-process solver would use — hits are decoded and served inline
-   (no worker slot), recorded with ``cache_hit=True``;
+2. **probe** the result cache with the validated params, which are the
+   library entry point's keyword arguments name for name — the same
+   dictionary the in-process solver probes with.  Hits are decoded and
+   served inline (no worker slot), recorded with ``cache_hit=True``;
 3. **run** on a worker thread, wrapped in a ``serve.<endpoint>`` ledger
    run (which publishes ``run.start`` / ``run.end`` on the event bus)
    nested around the solver's own record.
@@ -21,7 +22,7 @@ The request lifecycle is deliberately ordered:
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 import repro.cache as result_cache
 from repro.core.game import GameError, TupleGame
@@ -54,29 +55,17 @@ _log = get_logger("repro.serve.routes")
 
 
 def _solve_payload(game: TupleGame, params: Dict[str, Any]) -> Any:
-    result = solve_game(game, seed=params["seed"],
-                        allow_extensions=params["allow_extensions"])
+    result = solve_game(game, **params)
     return json.loads(solve_result_to_json(result))
 
 
 def _double_oracle_payload(game: TupleGame, params: Dict[str, Any]) -> Any:
-    result = double_oracle(
-        game,
-        tolerance=params["tolerance"],
-        max_iterations=params["max_iterations"],
-        method=params["method"],
-        lazy_attacker=params["lazy_attacker"],
-    )
+    result = double_oracle(game, **params)
     return json.loads(double_oracle_result_to_json(result))
 
 
 def _fictitious_play_payload(game: TupleGame, params: Dict[str, Any]) -> Any:
-    result = fictitious_play(
-        game,
-        rounds=params["rounds"],
-        method=params["method"],
-        tolerance=params["tolerance"],
-    )
+    result = fictitious_play(game, **params)
     return json.loads(fictitious_play_result_to_json(result))
 
 
@@ -108,61 +97,30 @@ def _ranges_payload(game: TupleGame, params: Dict[str, Any]) -> Any:
     return payload
 
 
-class EndpointSpec:
+class EndpointSpec(NamedTuple):
     """One POST endpoint: its runner plus its cache identity.
 
-    ``cache_solver`` / ``cache_params`` mirror the probe the library
-    entry point performs internally, letting the service answer repeat
+    ``cache_solver`` names the probe the library entry point performs
+    internally; the validated params are that entry point's keyword
+    arguments, so probing with them lets the service answer repeat
     requests without occupying a worker.  Endpoints whose library calls
     do not cache (``/ranges``) set ``cache_solver=None``.
     """
 
-    __slots__ = ("name", "runner", "cache_solver", "cache_params")
-
-    def __init__(
-        self,
-        name: str,
-        runner: Callable[[TupleGame, Dict[str, Any]], Any],
-        cache_solver: Optional[str] = None,
-        cache_params: Optional[
-            Callable[[Dict[str, Any]], Dict[str, Any]]
-        ] = None,
-    ) -> None:
-        self.name = name
-        self.runner = runner
-        self.cache_solver = cache_solver
-        self.cache_params = cache_params
+    name: str
+    runner: Callable[[TupleGame, Dict[str, Any]], Any]
+    cache_solver: Optional[str] = None
 
 
-#: URL name (without the leading slash) -> spec.  The cache parameter
-#: mappings must match the library entry points key-for-key or the fast
-#: path would silently miss forever.
+#: URL name (without the leading slash) -> spec.
 ENDPOINTS: Dict[str, EndpointSpec] = {
-    "solve": EndpointSpec(
-        "solve", _solve_payload,
-        cache_solver="equilibria.solve",
-        cache_params=lambda p: {
-            "seed": p["seed"], "allow_extensions": p["allow_extensions"],
-        },
-    ),
-    "double-oracle": EndpointSpec(
-        "double-oracle", _double_oracle_payload,
-        cache_solver="solvers.double_oracle",
-        cache_params=lambda p: {
-            "tolerance": p["tolerance"],
-            "max_iterations": p["max_iterations"],
-            "method": p["method"],
-            "lazy_attacker": p["lazy_attacker"],
-        },
-    ),
-    "fictitious-play": EndpointSpec(
-        "fictitious-play", _fictitious_play_payload,
-        cache_solver="solvers.fictitious_play",
-        cache_params=lambda p: {
-            "rounds": p["rounds"], "method": p["method"],
-            "tolerance": p["tolerance"],
-        },
-    ),
+    "solve": EndpointSpec("solve", _solve_payload,
+                          cache_solver="equilibria.solve"),
+    "double-oracle": EndpointSpec("double-oracle", _double_oracle_payload,
+                                  cache_solver="solvers.double_oracle"),
+    "fictitious-play": EndpointSpec("fictitious-play",
+                                    _fictitious_play_payload,
+                                    cache_solver="solvers.fictitious_play"),
     "ranges": EndpointSpec("ranges", _ranges_payload),
 }
 
@@ -220,10 +178,8 @@ def prepare(endpoint: str, body: bytes) -> PreparedRequest:
             metrics.timer("serve.prepare.seconds"):
         game, params = parse_request(endpoint, body)
 
-        if spec.cache_solver is not None and spec.cache_params is not None:
-            probe = result_cache.lookup(
-                game, spec.cache_solver, spec.cache_params(params)
-            )
+        if spec.cache_solver is not None:
+            probe = result_cache.lookup(game, spec.cache_solver, params)
             if probe.hit:
                 metrics.counter("serve.cache_hit.count").inc()
                 with obs_ledger.run(f"serve.{endpoint}", game=game,

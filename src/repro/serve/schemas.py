@@ -22,6 +22,7 @@ mint a cache key, and every defect maps to one structured
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.game import GameError
@@ -124,6 +125,11 @@ def _positive_float_param(default: float) -> Tuple[Any, Callable]:
                 f"param {name!r} must be positive; got {value}",
                 code="invalid-params",
             )
+        if not math.isfinite(value):
+            raise RequestError(
+                f"param {name!r} must be finite; got {value}",
+                code="invalid-params",
+            )
         return float(value)
     return default, check
 
@@ -153,8 +159,9 @@ def _choice_param(choices: Tuple[str, ...], default: str) -> Tuple[Any, Callable
 _COVERAGE_METHODS = ("auto", "exhaustive", "bnb", "greedy")
 
 #: Per-endpoint parameter schema: name -> (default, validator).  The
-#: names and defaults mirror the library entry points exactly, so a
-#: request's cache key equals the key an in-process call would mint.
+#: names and defaults are the library entry points' keyword arguments,
+#: so the validated params are passed to the solver as ``**params`` and
+#: a request's cache key equals the key an in-process call would mint.
 _PARAM_SPECS: Dict[str, Dict[str, Tuple[Any, Callable]]] = {
     "solve": {
         "seed": _int_param(0, minimum=0),

@@ -28,12 +28,13 @@ textbook both-sides-lazy variant.
 
 from __future__ import annotations
 
-import json
+import math
 from time import perf_counter
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 import repro.cache as result_cache
 from repro.core.game import GameError, TupleGame
+from repro.core.serialize import read_document, write_document
 from repro.core.tuples import EdgeTuple, tuple_vertices
 from repro.graphs.core import Vertex
 from repro.kernels.coverage import CoverageOracle, shared_oracle
@@ -137,8 +138,7 @@ def double_oracle_result_to_json(result: DoubleOracleResult) -> str:
     (:func:`double_oracle_result_from_json`) reproduces these bytes.
     """
     with metrics.timer("cache.encode.seconds"):
-        payload = {
-            "format": _RESULT_FORMAT,
+        return write_document(_RESULT_FORMAT, {
             **_solution_payload(result.solution),
             "iterations": result.iterations,
             "defender_pool_size": result.defender_pool_size,
@@ -146,8 +146,19 @@ def double_oracle_result_to_json(result: DoubleOracleResult) -> str:
             "certified_gap": result.certified_gap,
             "gap_history": result.gap_history,
             "exact": result.exact,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        })
+
+
+def _result_from_payload(payload: Dict[str, Any]) -> DoubleOracleResult:
+    return DoubleOracleResult(
+        _solution_from_payload(payload),
+        int(payload["iterations"]),
+        int(payload["defender_pool_size"]),
+        int(payload["attacker_pool_size"]),
+        float(payload["certified_gap"]),
+        [float(g) for g in payload["gap_history"]],
+        bool(payload["exact"]),
+    )
 
 
 def double_oracle_result_from_json(text: str) -> DoubleOracleResult:
@@ -157,30 +168,8 @@ def double_oracle_result_from_json(text: str) -> DoubleOracleResult:
     a format tag this reader does not understand.
     """
     with metrics.timer("cache.decode.seconds"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GameError(f"invalid double-oracle document: {exc}") from exc
-        if not isinstance(payload, dict) \
-                or payload.get("format") != _RESULT_FORMAT:
-            raise GameError(
-                f"unrecognized double-oracle format "
-                f"(expected {_RESULT_FORMAT!r})"
-            )
-        try:
-            return DoubleOracleResult(
-                _solution_from_payload(payload),
-                int(payload["iterations"]),
-                int(payload["defender_pool_size"]),
-                int(payload["attacker_pool_size"]),
-                float(payload["certified_gap"]),
-                [float(g) for g in payload["gap_history"]],
-                bool(payload["exact"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GameError(
-                f"malformed double-oracle payload: {exc}"
-            ) from exc
+        return read_document(text, _RESULT_FORMAT, "double-oracle",
+                             _result_from_payload)
 
 
 def _initial_defender_pool(oracle: CoverageOracle) -> List[EdgeTuple]:
@@ -236,11 +225,13 @@ def double_oracle(
     vertex at a time (the textbook variant, two LPs per iteration)
     instead of materializing all ``n`` vertices up front.
 
-    Raises :class:`~repro.core.game.GameError` if the oracles still
-    improve after ``max_iterations`` (not observed in practice; a guard
-    against pathological tolerance settings).
+    Raises :class:`~repro.core.game.GameError` on a ``tolerance`` that
+    is not finite and positive or ``max_iterations < 1`` (before the
+    cache probe and the ledger run), and if the oracles still improve
+    after ``max_iterations`` (not observed in practice).
     """
     graph = game.graph
+    _check_loop_params(tolerance, max_iterations)
     # Probe before opening the ledger run so the record can carry the
     # ``cache_hit`` attribute (a no-op miss while caching is disabled).
     probe = result_cache.lookup(
@@ -263,6 +254,19 @@ def double_oracle(
         )
         probe.store(double_oracle_result_to_json(result))
         return result
+
+
+def _check_loop_params(tolerance: float, max_iterations: int) -> None:
+    """Reject loop parameters that would fake the certificate (checked
+    before the cache probe and the ledger run): the convergence slack is
+    ``2·tolerance``, so an infinite tolerance certifies any value and a
+    NaN one is never met; ``max_iterations < 1`` runs no iteration."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise GameError("double oracle needs a finite positive tolerance; "
+                        f"got {tolerance!r}")
+    if max_iterations < 1:
+        raise GameError("double oracle needs max_iterations >= 1; "
+                        f"got {max_iterations}")
 
 
 def _double_oracle_loop(

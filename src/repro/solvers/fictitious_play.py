@@ -18,11 +18,11 @@ bounds).
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import repro.cache as result_cache
 from repro.core.game import GameError, TupleGame
+from repro.core.serialize import read_document, write_document
 from repro.core.tuples import EdgeTuple, tuple_vertices
 from repro.graphs.core import Vertex, tuple_sort_key, vertex_sort_key
 from repro.kernels.coverage import shared_oracle
@@ -122,8 +122,7 @@ def fictitious_play_result_to_json(result: FictitiousPlayResult) -> str:
     (:func:`fictitious_play_result_from_json`) reproduces these bytes.
     """
     with metrics.timer("cache.encode.seconds"):
-        payload = {
-            "format": _RESULT_FORMAT,
+        return write_document(_RESULT_FORMAT, {
             "rounds": result.rounds,
             "lower_bound": result.lower_bound,
             "upper_bound": result.upper_bound,
@@ -142,8 +141,21 @@ def fictitious_play_result_to_json(result: FictitiousPlayResult) -> str:
                 )
             ],
             "history": [[lower, upper] for lower, upper in result.history],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        })
+
+
+def _result_from_payload(payload: Dict[str, Any]) -> FictitiousPlayResult:
+    return FictitiousPlayResult(
+        int(payload["rounds"]),
+        float(payload["lower_bound"]),
+        float(payload["upper_bound"]),
+        {v: float(p) for v, p in payload["attacker_strategy"]},
+        {
+            tuple(tuple(e) for e in t): float(p)
+            for t, p in payload["defender_strategy"]
+        },
+        [(float(lower), float(upper)) for lower, upper in payload["history"]],
+    )
 
 
 def fictitious_play_result_from_json(text: str) -> FictitiousPlayResult:
@@ -153,37 +165,8 @@ def fictitious_play_result_from_json(text: str) -> FictitiousPlayResult:
     an unknown format tag.
     """
     with metrics.timer("cache.decode.seconds"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GameError(
-                f"invalid fictitious-play document: {exc}"
-            ) from exc
-        if not isinstance(payload, dict) \
-                or payload.get("format") != _RESULT_FORMAT:
-            raise GameError(
-                f"unrecognized fictitious-play format "
-                f"(expected {_RESULT_FORMAT!r})"
-            )
-        try:
-            return FictitiousPlayResult(
-                int(payload["rounds"]),
-                float(payload["lower_bound"]),
-                float(payload["upper_bound"]),
-                {v: float(p) for v, p in payload["attacker_strategy"]},
-                {
-                    tuple(tuple(e) for e in t): float(p)
-                    for t, p in payload["defender_strategy"]
-                },
-                [
-                    (float(lower), float(upper))
-                    for lower, upper in payload["history"]
-                ],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GameError(
-                f"malformed fictitious-play payload: {exc}"
-            ) from exc
+        return read_document(text, _RESULT_FORMAT, "fictitious-play",
+                             _result_from_payload)
 
 
 def fictitious_play(
@@ -210,7 +193,8 @@ def fictitious_play(
     Raises
     ------
     GameError
-        On degenerate parameters (``rounds < 1``, ``tolerance <= 0``).
+        On degenerate parameters (``rounds < 1``, a tolerance that is
+        not positive, NaN included).
     """
     graph = game.graph
     # Parameter validation happens before the cache probe: invalid
@@ -220,7 +204,7 @@ def fictitious_play(
     # reduction (and a zero division building the empirical strategies).
     if rounds < 1:
         raise GameError(f"fictitious play needs rounds >= 1; got {rounds}")
-    if tolerance is not None and tolerance <= 0:
+    if tolerance is not None and not tolerance > 0:
         raise GameError(
             f"fictitious play needs a positive tolerance; got {tolerance}"
         )

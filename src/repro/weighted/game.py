@@ -36,20 +36,24 @@ proportionally harder.  Experiment E12 measures exactly that.
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Dict, Mapping, Tuple
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 import repro.cache as result_cache
 from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.game import GameError, TupleGame
 from repro.core.profits import all_hit_probabilities, all_vertex_masses
-from repro.core.serialize import configuration_from_json, configuration_to_json
+from repro.core.serialize import (
+    configuration_from_payload,
+    configuration_payload,
+    read_document,
+    write_document,
+)
 from repro.core.tuples import all_tuples
 from repro.graphs.core import Graph, Vertex
 from repro.obs import ledger as obs_ledger
 from repro.solvers.best_response import best_tuple
-from repro.solvers.double_oracle import _double_oracle_loop
+from repro.solvers.double_oracle import _check_loop_params, _double_oracle_loop
 from repro.solvers.lp import (
     LPSolution,
     _scaled_coverage,
@@ -210,79 +214,53 @@ _LP_RESULT_FORMAT = "repro.weighted.lp-result.v1"
 _DO_RESULT_FORMAT = "repro.weighted.double-oracle-result.v1"
 
 
+def _result_to_json(fmt: str, config: MixedConfiguration, field: str,
+                    value: Any) -> str:
+    """The one weighted-result codec: the equilibrium as a nested
+    mixed-configuration document plus one solver field."""
+    return write_document(
+        fmt, {"configuration": configuration_payload(config), field: value}
+    )
+
+
+def _result_from_json(text: str, fmt: str, label: str, field: str,
+                      decode: Callable[[Any], Any]) -> Tuple[Any, Any]:
+    """Inverse of :func:`_result_to_json` (re-validated)."""
+    return read_document(text, fmt, label, lambda payload: (
+        configuration_from_payload(payload["configuration"]),
+        decode(payload[field]),
+    ))
+
+
 def weighted_lp_result_to_json(
     config: MixedConfiguration, solution: LPSolution
 ) -> str:
     """Canonical JSON dump of a :func:`weighted_lp_equilibrium` outcome."""
-    payload = {
-        "format": _LP_RESULT_FORMAT,
-        "configuration": json.loads(configuration_to_json(config)),
-        "solution": _solution_payload(solution),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _result_to_json(_LP_RESULT_FORMAT, config, "solution",
+                           _solution_payload(solution))
 
 
 def weighted_lp_result_from_json(
     text: str,
 ) -> Tuple[MixedConfiguration, LPSolution]:
     """Parse a :func:`weighted_lp_result_to_json` document (re-validated)."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameError(f"invalid weighted-LP document: {exc}") from exc
-    if not isinstance(payload, dict) \
-            or payload.get("format") != _LP_RESULT_FORMAT:
-        raise GameError(
-            f"unrecognized weighted-LP format (expected {_LP_RESULT_FORMAT!r})"
-        )
-    try:
-        config = configuration_from_json(
-            json.dumps(payload["configuration"])
-        )
-        solution = _solution_from_payload(payload["solution"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GameError(f"malformed weighted-LP payload: {exc}") from exc
-    return config, solution
+    return _result_from_json(text, _LP_RESULT_FORMAT, "weighted-LP",
+                             "solution", _solution_from_payload)
 
 
 def weighted_do_result_to_json(
     config: MixedConfiguration, value: float
 ) -> str:
     """Canonical JSON dump of a :func:`weighted_double_oracle` outcome."""
-    payload = {
-        "format": _DO_RESULT_FORMAT,
-        "configuration": json.loads(configuration_to_json(config)),
-        "value": float(value),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _result_to_json(_DO_RESULT_FORMAT, config, "value", float(value))
 
 
 def weighted_do_result_from_json(
     text: str,
 ) -> Tuple[MixedConfiguration, float]:
     """Parse a :func:`weighted_do_result_to_json` document (re-validated)."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameError(
-            f"invalid weighted double-oracle document: {exc}"
-        ) from exc
-    if not isinstance(payload, dict) \
-            or payload.get("format") != _DO_RESULT_FORMAT:
-        raise GameError(
-            f"unrecognized weighted double-oracle format "
-            f"(expected {_DO_RESULT_FORMAT!r})"
-        )
-    try:
-        config = configuration_from_json(
-            json.dumps(payload["configuration"])
-        )
-        value = float(payload["value"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GameError(
-            f"malformed weighted double-oracle payload: {exc}"
-        ) from exc
-    return config, value
+    return _result_from_json(text, _DO_RESULT_FORMAT,
+                             "weighted double-oracle", "value", float)
 
 
 def weighted_lp_equilibrium(
@@ -328,8 +306,11 @@ def weighted_double_oracle(
     convergence slack warns and counts like the plain solver does.
 
     Returns ``(equilibrium configuration, escape value per attacker)``.
-    Cache-aware like :func:`weighted_lp_equilibrium`.
+    Cache-aware like :func:`weighted_lp_equilibrium`.  Degenerate
+    parameters are rejected before the cache probe, as
+    :func:`~repro.solvers.double_oracle.double_oracle` rejects them.
     """
+    _check_loop_params(tolerance, max_iterations)
     probe = result_cache.lookup(
         game, "weighted.double_oracle",
         {"tolerance": tolerance, "max_iterations": max_iterations},

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import tempfile
 import threading
@@ -61,16 +60,6 @@ GAME = {
     "k": 2,
     "nu": 1,
 }
-
-
-def _git_rev() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip() or "unknown"
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _post(base: str, path: str, body: bytes, headers=None) -> int:
@@ -226,10 +215,12 @@ def _load_document() -> dict:
 
 
 def write(cases: dict) -> None:
+    from repro.obs.ledger import capture_environment
+
     document = _load_document()
     document["slack"] = {"relative": SLACK_REL, "absolute_s": SLACK_ABS}
     document["cases"] = {name: cases[name] for name in sorted(cases)}
-    rev = _git_rev()
+    rev = capture_environment()["git_rev"]
     entry = {
         "git_rev": rev,
         "timestamp": datetime.now(timezone.utc).isoformat(

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import tempfile
 import time
@@ -65,16 +64,6 @@ _CORRELATION_CALLS = 50_000
 #: Regression gate: fail when current > baseline * (1 + SLACK_REL) + SLACK_ABS.
 SLACK_REL = 0.20
 SLACK_ABS = 0.05
-
-
-def _git_rev() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip() or "unknown"
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _cases():
@@ -212,6 +201,8 @@ def _load_document():
 
 
 def write(timings) -> None:
+    from repro.obs.ledger import capture_environment
+
     document = _load_document()
     document["slack"] = {"relative": SLACK_REL, "absolute_s": SLACK_ABS}
     document["cases"] = {
@@ -226,7 +217,7 @@ def write(timings) -> None:
         }
         for name in sorted(timings)
     }
-    rev = _git_rev()
+    rev = capture_environment()["git_rev"]
     entry = {
         "git_rev": rev,
         "timestamp": datetime.now(timezone.utc).isoformat(
